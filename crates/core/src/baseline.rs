@@ -7,7 +7,7 @@
 //! similar preferences — the inefficiency the FilterThenVerify family
 //! removes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use pm_model::{Object, ObjectId, UserId};
@@ -21,8 +21,10 @@ use crate::timers::{timed, MonitorTimers};
 
 /// Per-user Pareto frontier: frontier objects are stored by value so no
 /// shared catalog is needed and expired/dominated objects are dropped
-/// eagerly.
-pub(crate) type Frontier = HashMap<ObjectId, Object>;
+/// eagerly. Keyed in id order — ids are arrival timestamps — so every scan
+/// visits objects oldest first and the work counted by an early-exit scan
+/// is a deterministic function of the stream.
+pub(crate) type Frontier = BTreeMap<ObjectId, Object>;
 
 /// The traced outcome of [`update_pareto_frontier_traced`]: whether the
 /// object was Pareto-optimal, whether its insert created a *new* frontier
@@ -377,9 +379,7 @@ impl ContinuousMonitor for BaselineMonitor {
 
     fn frontier(&self, user: UserId) -> Vec<ObjectId> {
         let bucket = &self.buckets[self.user_bucket[user.index()]];
-        let mut ids: Vec<ObjectId> = bucket.frontier.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        bucket.frontier.keys().copied().collect()
     }
 
     fn num_users(&self) -> usize {

@@ -418,9 +418,7 @@ impl FilterThenVerifyMonitor {
 
     /// The cluster-level ("virtual user") frontier `P_U`, sorted by id.
     pub fn cluster_frontier(&self, cluster: usize) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.clusters[cluster].frontier.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.clusters[cluster].frontier.keys().copied().collect()
     }
 
     /// The virtual preference used by a cluster (common or approximate).
@@ -557,9 +555,7 @@ impl ContinuousMonitor for FilterThenVerifyMonitor {
     }
 
     fn frontier(&self, user: UserId) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.user_frontiers[user.index()].keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.user_frontiers[user.index()].keys().copied().collect()
     }
 
     fn num_users(&self) -> usize {

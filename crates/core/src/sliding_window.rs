@@ -77,15 +77,6 @@ fn mend_frontier(
     true
 }
 
-/// Buffered objects in arrival order. Promotions must be attempted oldest
-/// first so that a promoted object is visible when its (younger) dominated
-/// peers are checked.
-fn buffer_in_arrival_order(buffer: &Frontier) -> Vec<Object> {
-    let mut objects: Vec<Object> = buffer.values().cloned().collect();
-    objects.sort_by_key(Object::id);
-    objects
-}
-
 /// One distinct preference of the sliding-window baseline: identical
 /// preferences induce identical frontiers *and* identical Def. 7.4 buffers
 /// (both depend only on the preference relations and the alive objects), so
@@ -171,9 +162,7 @@ impl BaselineSwMonitor {
     /// The current Pareto frontier buffer `PB_c` of a user, sorted by id.
     pub fn buffer(&self, user: UserId) -> Vec<ObjectId> {
         let bucket = &self.buckets[self.user_bucket[user.index()]];
-        let mut ids: Vec<ObjectId> = bucket.buffer.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        bucket.buffer.keys().copied().collect()
     }
 
     /// The bucket holding exactly `preference`, if any.
@@ -264,18 +253,20 @@ impl BaselineSwMonitor {
                 }
                 // Objects the expired frontier member dominated may now be
                 // Pareto-optimal (Alg. 4, lines 2–5) — mended once per
-                // distinct preference.
-                for candidate in buffer_in_arrival_order(&bucket.buffer) {
+                // distinct preference, oldest candidate first so a promoted
+                // object is visible when its younger dominated peers are
+                // checked.
+                for candidate in bucket.buffer.values() {
                     if candidate.id() == expired.id() {
                         continue;
                     }
                     self.stats.record_comparison();
-                    if bucket.compiled.compare(expired, &candidate) == Dominance::Dominates {
+                    if bucket.compiled.compare(expired, candidate) == Dominance::Dominates {
                         let present = bucket.frontier.contains_key(&candidate.id());
                         if mend_frontier(
                             &bucket.compiled,
                             &mut bucket.frontier,
-                            &candidate,
+                            candidate,
                             &mut self.stats,
                         ) && !present
                         {
@@ -338,9 +329,7 @@ impl ContinuousMonitor for BaselineSwMonitor {
 
     fn frontier(&self, user: UserId) -> Vec<ObjectId> {
         let bucket = &self.buckets[self.user_bucket[user.index()]];
-        let mut ids: Vec<ObjectId> = bucket.frontier.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        bucket.frontier.keys().copied().collect()
     }
 
     fn num_users(&self) -> usize {
@@ -653,9 +642,7 @@ impl FilterThenVerifySwMonitor {
 
     /// The cluster-level frontier `P_U`, sorted by id.
     pub fn cluster_frontier(&self, cluster: usize) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.clusters[cluster].frontier.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.clusters[cluster].frontier.keys().copied().collect()
     }
 
     /// The virtual preference used by a cluster (common or approximate).
@@ -665,9 +652,7 @@ impl FilterThenVerifySwMonitor {
 
     /// The cluster-level buffer `PB_U`, sorted by id.
     pub fn cluster_buffer(&self, cluster: usize) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.clusters[cluster].buffer.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.clusters[cluster].buffer.keys().copied().collect()
     }
 
     /// Recomputes one cluster's virtual preference after a membership or
@@ -724,19 +709,20 @@ impl FilterThenVerifySwMonitor {
             if was_cluster_pareto {
                 // Alg. 5, lines 2–8: promote buffered objects the expired
                 // object dominated (w.r.t. the virtual user), first into P_U,
-                // then — if successful — into each member's frontier.
-                for candidate in buffer_in_arrival_order(&cluster.buffer) {
+                // then — if successful — into each member's frontier,
+                // oldest candidate first (see `BaselineSwMonitor::expire`).
+                for candidate in cluster.buffer.values() {
                     if candidate.id() == expired.id() {
                         continue;
                     }
                     self.stats.record_comparison();
-                    if cluster.compiled.compare(expired, &candidate) != Dominance::Dominates {
+                    if cluster.compiled.compare(expired, candidate) != Dominance::Dominates {
                         continue;
                     }
                     let promoted = mend_frontier(
                         &cluster.compiled,
                         &mut cluster.frontier,
-                        &candidate,
+                        candidate,
                         &mut self.stats,
                     );
                     if promoted {
@@ -746,7 +732,7 @@ impl FilterThenVerifySwMonitor {
                             if mend_frontier(
                                 self.users[member.index()].compiled.as_ref(),
                                 frontier,
-                                &candidate,
+                                candidate,
                                 &mut self.stats,
                             ) && !present
                             {
@@ -853,9 +839,7 @@ impl ContinuousMonitor for FilterThenVerifySwMonitor {
     }
 
     fn frontier(&self, user: UserId) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self.user_frontiers[user.index()].keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.user_frontiers[user.index()].keys().copied().collect()
     }
 
     fn num_users(&self) -> usize {
