@@ -154,7 +154,7 @@ pub struct BaselineMonitor {
     user_bucket: Vec<usize>,
     /// Fingerprint → bucket indices. More than one bucket per fingerprint
     /// only on hash collision or for twins deliberately kept apart under a
-    /// truncating history (see [`Self::add_user`]).
+    /// capped history (see [`Self::add_user`]).
     by_fp: HashMap<Fingerprint, Vec<usize>>,
     /// Retained object history for mid-stream registration/update backfill
     /// (see [`History`] for the cap semantics).
@@ -171,16 +171,6 @@ impl BaselineMonitor {
     /// object history is unlimited; see [`Self::with_history`].
     pub fn new(preferences: Vec<Preference>) -> Self {
         Self::with_history(preferences, HistoryMode::Unlimited)
-    }
-
-    /// Like [`Self::new`], but retains at most `limit` objects of history
-    /// (`None` = unlimited): [`Self::add_user`]/[`Self::update_user`]
-    /// backfill then becomes best-effort once the cap truncates — the
-    /// replayed frontier is the exact frontier of the retained suffix.
-    /// Equivalent to [`Self::with_history`] with
-    /// [`HistoryMode::from_limit`].
-    pub fn with_history_limit(preferences: Vec<Preference>, limit: Option<usize>) -> Self {
-        Self::with_history(preferences, HistoryMode::from_limit(limit))
     }
 
     /// Like [`Self::new`], but with an explicit history retention mode —
@@ -292,9 +282,9 @@ impl BaselineMonitor {
     /// the retained history must provably reproduce the live twin frontier.
     /// True for unlimited and uncapped compacting histories (compaction
     /// never drops an object any *observed* preference's frontier needs);
-    /// false under a truncating cap — including a compacting history's hard
-    /// cap — where backfill is best-effort over the retained set and may
-    /// legitimately differ from the live twin.
+    /// false under a compacting history's hard cap, where backfill is
+    /// best-effort over the retained set and may legitimately differ from
+    /// the live twin.
     fn lossless_history(&self) -> bool {
         matches!(
             self.history.mode(),
@@ -318,8 +308,7 @@ impl BaselineMonitor {
         self.history.len()
     }
 
-    /// Lifetime count of history objects dropped by truncation or
-    /// compaction.
+    /// Lifetime count of history objects dropped by compaction or its cap.
     pub fn history_evicted(&self) -> u64 {
         self.history.evicted()
     }
@@ -769,7 +758,10 @@ mod tests {
     #[test]
     fn history_cap_bounds_memory_and_makes_backfill_best_effort() {
         let users = laptop_users();
-        let mut capped = BaselineMonitor::with_history_limit(vec![users[0].clone()], Some(4));
+        let mut capped = BaselineMonitor::with_history(
+            vec![users[0].clone()],
+            HistoryMode::Compact { cap: Some(4) },
+        );
         let mut unlimited = BaselineMonitor::new(vec![users[0].clone()]);
         for o in laptop_objects() {
             capped.process(o.clone());
@@ -782,7 +774,8 @@ mod tests {
             capped.frontier(UserId::new(0)),
             unlimited.frontier(UserId::new(0))
         );
-        // A late registration backfills from the retained suffix only: it
+        // No sweep has run yet, so the cap keeps the newest 4 objects. A
+        // late registration backfills from the retained suffix only: it
         // sees every retained true-frontier object, and every object it
         // reports is from the retained suffix (ids 11..=14 here).
         let added = capped.add_user(users[1].clone());
@@ -937,11 +930,15 @@ mod tests {
     #[test]
     fn truncating_history_keeps_late_twins_exact_to_the_suffix() {
         let users = laptop_users();
-        let mut m = BaselineMonitor::with_history_limit(vec![users[0].clone()], Some(4));
+        let mut m = BaselineMonitor::with_history(
+            vec![users[0].clone()],
+            HistoryMode::Compact { cap: Some(4) },
+        );
         for o in laptop_objects() {
             m.process(o);
         }
-        // Under a truncating cap a late twin must NOT inherit the live
+        // Under a hard cap that truncated the oldest objects (no sweep has
+        // run yet) a late twin must NOT inherit the live
         // frontier: its documented contract is the exact frontier of the
         // retained suffix (ids 11..=14 here), so it gets its own bucket.
         let added = m.add_user(users[0].clone());

@@ -354,14 +354,6 @@ impl FilterThenVerifyMonitor {
         }
     }
 
-    /// Caps the retained object history at `limit` objects (`None` =
-    /// unlimited): [`Self::add_user`]/[`Self::update_user`] backfill then
-    /// becomes best-effort once the cap truncates. Equivalent to
-    /// [`Self::with_history`] with [`HistoryMode::from_limit`].
-    pub fn with_history_limit(self, limit: Option<usize>) -> Self {
-        self.with_history(HistoryMode::from_limit(limit))
-    }
-
     /// Sets the history retention mode — in particular
     /// [`HistoryMode::Compact`], which keeps
     /// [`Self::add_user`]/[`Self::update_user`] backfill exact for every
@@ -383,8 +375,7 @@ impl FilterThenVerifyMonitor {
         self.history.len()
     }
 
-    /// Lifetime count of history objects dropped by truncation or
-    /// compaction.
+    /// Lifetime count of history objects dropped by compaction or its cap.
     pub fn history_evicted(&self) -> u64 {
         self.history.evicted()
     }
@@ -600,8 +591,8 @@ impl ContinuousMonitor for FilterThenVerifyMonitor {
         assert!(idx < self.users.len(), "user {user} out of range");
         // Rebuild the user's own frontier by replaying the retained history
         // under the new preference (exact for compacting histories unless
-        // the preference is genuinely novel, best-effort once a truncating
-        // cap has bitten).
+        // the preference is genuinely novel, best-effort once a hard cap
+        // has bitten).
         self.history.observe(&preference);
         // Intern the new preference before releasing the old handle so an
         // update within the same distinct preference never recompiles.
@@ -1172,12 +1163,13 @@ mod tests {
         let users = laptop_users();
         let mut ftv =
             FilterThenVerifyMonitor::with_virtual_preferences(users.clone(), one_cluster(&users))
-                .with_history_limit(Some(3));
+                .with_history(HistoryMode::Compact { cap: Some(3) });
         for o in laptop_objects() {
             ftv.process(o);
         }
         assert_eq!(ftv.history_len(), 3);
-        // The update replays only the retained suffix (ids 12..=14).
+        // No sweep has run yet, so the cap kept the newest objects: the
+        // update replays only the retained suffix (ids 12..=14).
         ftv.update_user(UserId::new(0), users[1].clone());
         for id in ftv.frontier(UserId::new(0)) {
             assert!(id.raw() >= 12, "backfill saw a truncated object {id}");

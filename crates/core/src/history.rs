@@ -3,22 +3,18 @@
 //! Append-only monitors never expire objects, so a user registered (or
 //! updated) mid-stream must be backfilled against the past stream — any
 //! past object may be Pareto-optimal under the new preference. On unbounded
-//! streams a verbatim history is unbounded, so [`History`] supports three
+//! streams a verbatim history is unbounded, so [`History`] supports two
 //! retention disciplines ([`HistoryMode`]):
 //!
 //! * **Unlimited** — keep everything; backfill is exact for any preference.
-//! * **Truncate(C)** — keep the newest `C` objects; backfill is
-//!   *best-effort*: the replayed frontier is the exact Pareto frontier of
-//!   the retained suffix, which contains every still-retained member of
-//!   the true frontier but may miss truncated frontier objects and admit
-//!   retained objects that only truncated ones dominated.
 //! * **Compact** — the skyline-union compaction this module implements:
 //!   bounded memory with **exact** backfill for every preference the
 //!   monitor has ever observed.
 //!
 //! # Skyline-union compaction
 //!
-//! Two ideas make compaction exact where truncation is not:
+//! Two ideas make compaction exact where keeping only the newest objects
+//! is not:
 //!
 //! 1. **Value-duplicate collapsing.** Objects with identical attribute
 //!    values are frontier-equivalent under *any* preference (identical
@@ -53,8 +49,8 @@
 //! inherent: no bounded retention can be exact for arbitrary unseen
 //! preferences, because a user with an empty preference needs every
 //! distinct value vector. An optional hard cap bounds even adversarial
-//! retained sets, trading back truncation's best-effort semantics for the
-//! oldest objects once it bites.
+//! retained sets, trading back exactness for best-effort backfill once it
+//! drops the oldest objects.
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -77,16 +73,13 @@ const SWEEP_EVERY: usize = 256;
 pub enum HistoryMode {
     /// Keep every ingested object; backfill is exact for any preference.
     Unlimited,
-    /// Keep the newest `C` objects; backfill is best-effort once the cap
-    /// truncates (`Truncate(0)` retains nothing).
-    Truncate(usize),
     /// Skyline-union compaction: keep the objects some observed preference
     /// still places on a frontier (plus all value-duplicates of them);
     /// backfill is exact for every observed preference. The optional `cap`
     /// is a hard bound on retained objects on top — once it bites, the
     /// smallest-id (= oldest, as ids double as arrival timestamps)
-    /// retained objects are dropped and backfill degrades to the same
-    /// best-effort contract as [`HistoryMode::Truncate`].
+    /// retained objects are dropped and backfill degrades to best-effort:
+    /// the replayed frontier is the exact frontier of the retained set.
     Compact {
         /// Optional hard bound on retained objects (`None` = compaction
         /// alone bounds memory).
@@ -95,14 +88,6 @@ pub enum HistoryMode {
 }
 
 impl HistoryMode {
-    /// The mode the pre-compaction `history_limit` API maps to.
-    pub fn from_limit(limit: Option<usize>) -> Self {
-        match limit {
-            Some(limit) => HistoryMode::Truncate(limit),
-            None => HistoryMode::Unlimited,
-        }
-    }
-
     /// Whether this mode runs skyline-union compaction.
     pub fn is_compacting(&self) -> bool {
         matches!(self, HistoryMode::Compact { .. })
@@ -110,11 +95,11 @@ impl HistoryMode {
 }
 
 /// The retained object history of an append-only monitor (see the module
-/// docs for the three retention disciplines).
+/// docs for the two retention disciplines).
 #[derive(Debug, Clone)]
 pub struct History {
     mode: HistoryMode,
-    /// Truncate/Unlimited storage: verbatim objects, oldest first.
+    /// Unlimited storage: verbatim objects, oldest first.
     linear: VecDeque<Object>,
     /// Compact storage: one entry per distinct value vector, mapping it to
     /// every retained object id carrying it (in arrival order). The vector
@@ -145,7 +130,7 @@ pub struct History {
     cap_heap: BinaryHeap<Reverse<(ObjectId, Vec<ValueId>)>>,
     /// Pushes since the last sweep (compact mode).
     pending: usize,
-    /// Lifetime count of objects dropped (truncation, compaction or cap).
+    /// Lifetime count of objects dropped (compaction or cap).
     evicted: u64,
     /// Optional duration histogram for sweeps (nanoseconds); attached by
     /// the host via [`History::set_sweep_timer`]. When absent, sweeps do
@@ -206,13 +191,6 @@ impl History {
     pub fn push(&mut self, object: Object) {
         match self.mode {
             HistoryMode::Unlimited => self.linear.push_back(object),
-            HistoryMode::Truncate(limit) => {
-                self.linear.push_back(object);
-                while self.linear.len() > limit {
-                    self.linear.pop_front();
-                    self.evicted += 1;
-                }
-            }
             HistoryMode::Compact { cap } => {
                 match self.groups.get_mut(object.values()) {
                     Some(ids) => ids.push_back(object.id()),
@@ -258,14 +236,14 @@ impl History {
         }
     }
 
-    /// Lifetime count of objects dropped from the history (truncation,
-    /// compaction sweeps and cap enforcement combined) — the "compaction
+    /// Lifetime count of objects dropped from the history (compaction
+    /// sweeps and cap enforcement combined) — the "compaction
     /// savings" versus an unlimited history.
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
 
-    /// Estimated heap bytes held by the retained history. Linear modes pay
+    /// Estimated heap bytes held by the retained history. The linear mode pays
     /// one [`Object`] (id + value vector) per retained object; the compact
     /// mode pays each distinct value vector exactly once (the map key *is*
     /// the group) plus one id per retained object — which is where most of
@@ -324,8 +302,8 @@ impl History {
         ids
     }
 
-    /// Iterates over the retained objects for backfill replay. Linear
-    /// modes yield borrowed objects oldest-first; the compacting mode
+    /// Iterates over the retained objects for backfill replay. The linear
+    /// mode yields borrowed objects oldest-first; the compacting mode
     /// reconstructs each retained id from its group (order is
     /// insertion-order by group — replay folds to the exact Pareto
     /// frontier of the retained set regardless of order).
@@ -343,7 +321,7 @@ impl History {
 
     /// The retained value groups of a compacting history: each distinct
     /// value vector with its retained ids (arrival order). `None` for
-    /// linear modes. Backfill replay uses this to dominance-test one
+    /// the linear mode. Backfill replay uses this to dominance-test one
     /// representative per distinct vector and admit the whole id list on
     /// survival, instead of re-running the frontier scan per duplicate id.
     pub fn grouped(&self) -> Option<impl Iterator<Item = (&[ValueId], &VecDeque<ObjectId>)>> {
@@ -360,7 +338,7 @@ impl History {
     /// Exports the durable state: observed preferences (first-observation
     /// order), retained objects and the sweep/eviction counters. Compact
     /// histories flatten their groups to objects in ascending-id order so
-    /// id-list multiplicity round-trips; linear histories keep arrival
+    /// id-list multiplicity round-trips; a linear history keeps arrival
     /// order.
     pub fn export_state(&self) -> HistoryState {
         let mut objects: Vec<Object> = self.iter().map(Cow::into_owned).collect();
@@ -554,7 +532,7 @@ pub struct HistoryIter<'a> {
 }
 
 enum IterInner<'a> {
-    /// Borrowed objects of a truncating/unlimited history, oldest first.
+    /// Borrowed objects of an unlimited history, oldest first.
     Linear(std::collections::vec_deque::Iter<'a, Object>),
     /// Reconstructed objects of a compacting history, group by group.
     Compact {
@@ -616,30 +594,6 @@ mod tests {
         let mut objects: Vec<Object> = history.iter().map(Cow::into_owned).collect();
         objects.sort_by_key(Object::id);
         objects
-    }
-
-    #[test]
-    fn truncate_drops_oldest_and_counts_evictions() {
-        let mut h = History::new(HistoryMode::Truncate(3));
-        for i in 0..5 {
-            h.push(obj(i, &[i as u32, 0]));
-        }
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.evicted(), 2);
-        assert_eq!(
-            h.retained_ids(),
-            vec![ObjectId::new(2), ObjectId::new(3), ObjectId::new(4)]
-        );
-    }
-
-    #[test]
-    fn truncate_zero_retains_nothing() {
-        let mut h = History::new(HistoryMode::Truncate(0));
-        h.push(obj(0, &[1, 1]));
-        h.push(obj(1, &[2, 2]));
-        assert!(h.is_empty());
-        assert_eq!(h.evicted(), 2);
-        assert!(h.iter().next().is_none());
     }
 
     #[test]
@@ -747,8 +701,8 @@ mod tests {
         );
         assert!(h.observe(&Preference::new(2)), "unseen empty is novel too");
         assert!(h.observe(&chain_pref(1, &[5, 6])), "new attribute is");
-        // Truncating histories never report novelty (they do not compact).
-        let mut t = History::new(HistoryMode::Truncate(4));
+        // Unlimited histories never report novelty (they do not compact).
+        let mut t = History::new(HistoryMode::Unlimited);
         assert!(!t.observe(&p));
     }
 
@@ -942,11 +896,11 @@ mod tests {
 
     #[test]
     fn export_import_roundtrip_linear_modes() {
-        let mut h = History::new(HistoryMode::Truncate(3));
+        let mut h = History::new(HistoryMode::Unlimited);
         for i in 0..5 {
             h.push(obj(i, &[i as u32, 0]));
         }
-        let mut restored = History::new(HistoryMode::Truncate(3));
+        let mut restored = History::new(HistoryMode::Unlimited);
         restored.import_state(h.export_state());
         assert_eq!(restored.retained_ids(), h.retained_ids());
         assert_eq!(restored.evicted(), h.evicted());

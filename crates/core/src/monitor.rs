@@ -96,7 +96,7 @@ pub trait ContinuousMonitor {
     /// the start, restricted to the alive objects. With a compacting
     /// history ([`crate::HistoryMode::Compact`]) the replay is exact for
     /// every preference the monitor has ever observed (and best-effort for
-    /// a genuinely novel one); with a truncating cap it is best-effort
+    /// a genuinely novel one); with a hard cap on top it is best-effort
     /// once the cap bites. Backfilling reports no notifications; only
     /// genuine arrivals do.
     fn add_user(&mut self, preference: Preference) -> UserId;
@@ -116,7 +116,7 @@ pub trait ContinuousMonitor {
     /// The user's frontier is repaired by replay under the new preference —
     /// append-only monitors replay the retained object history (exact when
     /// the history is unlimited or compacting over observed preferences,
-    /// documented best-effort once a truncating cap has bitten or the new
+    /// documented best-effort once a hard cap has bitten or the new
     /// preference is genuinely novel to a compacting history), sliding
     /// monitors replay the window (frontier plus the Def. 7.4 Pareto
     /// buffer). Cluster-based monitors additionally

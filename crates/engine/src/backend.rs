@@ -26,12 +26,9 @@ pub enum BackendSpec {
     /// Alg. 1: per-user baseline, append-only.
     Baseline {
         /// Retention discipline of the backfill history.
-        /// [`HistoryMode::Truncate`] keeps the newest `C` objects
-        /// (REGISTER/UPDATE backfill is then best-effort: the replayed
-        /// frontier is the exact frontier of the retained suffix);
         /// [`HistoryMode::Compact`] retains the skyline union over every
-        /// observed preference, keeping backfill exact for all of them at
-        /// a fraction of the memory.
+        /// observed preference, keeping REGISTER/UPDATE backfill exact for
+        /// all of them at a fraction of the memory.
         history: HistoryMode,
     },
     /// Alg. 2: FilterThenVerify with exact common preferences, append-only.
@@ -176,16 +173,15 @@ impl BackendSpec {
 
     /// Parses a backend description, as accepted by `pm-server --backend`.
     /// The append-only backends accept an optional trailing history
-    /// discipline: a numeric cap `C` retains the newest `C` objects
-    /// (REGISTER/UPDATE backfill is then best-effort), while `compact`
-    /// switches on skyline-union compaction (backfill stays exact for
-    /// every observed preference), optionally followed by a hard cap on
-    /// top. A cap of zero is rejected — it would silently retain nothing.
+    /// discipline: `compact` switches on skyline-union compaction
+    /// (REGISTER/UPDATE backfill stays exact for every observed
+    /// preference), optionally followed by a hard cap `C` on retained
+    /// objects (backfill is best-effort once it bites). A cap of zero is
+    /// rejected — it would silently retain nothing.
     ///
-    /// * `baseline[:<C> | :compact[:<C>]]`
-    /// * `ftv:<h>[:<C> | :compact[:<C>]]` — e.g. `ftv:0.55`,
-    ///   `ftv:0.55:100000` or `ftv:0.55:compact`
-    /// * `ftv-approx:<h>:<theta1>:<theta2>[:<C> | :compact[:<C>]]`
+    /// * `baseline[:compact[:<C>]]`
+    /// * `ftv:<h>[:compact[:<C>]]` — e.g. `ftv:0.55` or `ftv:0.55:compact`
+    /// * `ftv-approx:<h>:<theta1>:<theta2>[:compact[:<C>]]`
     /// * `baseline-sw:<W>` — e.g. `baseline-sw:400`
     /// * `ftv-sw:<h>:<W>`
     /// * `ftv-approx-sw:<h>:<theta1>:<theta2>:<W>`
@@ -230,24 +226,18 @@ impl BackendSpec {
             }
         };
         // The optional history discipline starts at position `i`:
-        // `<C>` (truncate), `compact` or `compact:<C>`.
+        // `compact` or `compact:<C>`.
         let history = |i: usize| -> Result<HistoryMode, String> {
-            match rest.len() {
-                n if n == i => Ok(HistoryMode::Unlimited),
-                n if n == i + 1 && rest[i] == "compact" => Ok(HistoryMode::Compact { cap: None }),
-                n if n == i + 1 => Ok(HistoryMode::Truncate(cap(i)?)),
-                n if n == i + 2 && rest[i] == "compact" => Ok(HistoryMode::Compact {
+            match rest.get(i..).unwrap_or_default() {
+                [] => Ok(HistoryMode::Unlimited),
+                ["compact"] => Ok(HistoryMode::Compact { cap: None }),
+                ["compact", _] => Ok(HistoryMode::Compact {
                     cap: Some(cap(i + 1)?),
                 }),
-                n if n == i + 2 => Err(format!(
-                    "backend `{kind}`: expected `compact[:<C>]` or a single \
-                     history cap, got `{}:{}`",
-                    rest[i],
-                    rest[i + 1]
-                )),
-                n => Err(format!(
+                suffix => Err(format!(
                     "backend `{kind}` takes {i} argument(s) plus an optional \
-                     `<C>` or `compact[:<C>]` history suffix, got {n} argument(s)"
+                     `compact` or `compact:<C>` history suffix, got `{}`",
+                    suffix.join(":")
                 )),
             }
         };
@@ -300,7 +290,6 @@ impl fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let suffix = |history: &HistoryMode| match history {
             HistoryMode::Unlimited => String::new(),
-            HistoryMode::Truncate(limit) => format!(":{limit}"),
             HistoryMode::Compact { cap: None } => ":compact".to_owned(),
             HistoryMode::Compact { cap: Some(cap) } => format!(":compact:{cap}"),
         };
@@ -348,15 +337,12 @@ mod tests {
     fn parse_round_trips_through_display() {
         for text in [
             "baseline",
-            "baseline:100000",
             "baseline:compact",
             "baseline:compact:100000",
             "ftv:0.55",
-            "ftv:0.55:100000",
             "ftv:0.55:compact",
             "ftv:0.55:compact:100000",
             "ftv-approx:0.55:256:0.5",
-            "ftv-approx:0.55:256:0.5:100000",
             "ftv-approx:0.55:256:0.5:compact",
             "ftv-approx:0.55:256:0.5:compact:100000",
             "baseline-sw:400",
@@ -396,11 +382,8 @@ mod tests {
     #[test]
     fn zero_and_dangling_history_caps_are_rejected_with_clean_errors() {
         // A zero cap would silently retain nothing — reject it on every
-        // append-only backend and on the compact hard cap alike.
+        // append-only backend.
         for text in [
-            "baseline:0",
-            "ftv:0.5:0",
-            "ftv-approx:0.5:64:0.5:0",
             "baseline:compact:0",
             "ftv:0.5:compact:0",
             "ftv-approx:0.5:64:0.5:compact:0",
@@ -421,19 +404,17 @@ mod tests {
 
     #[test]
     fn history_disciplines_parse_into_the_append_only_variants() {
-        assert_eq!(
-            BackendSpec::parse("baseline:64"),
-            Ok(BackendSpec::Baseline {
-                history: HistoryMode::Truncate(64)
-            })
-        );
-        assert_eq!(
-            BackendSpec::parse("ftv:0.5:64"),
-            Ok(BackendSpec::FilterThenVerify {
-                branch_cut: 0.5,
-                history: HistoryMode::Truncate(64)
-            })
-        );
+        // A bare numeric cap is not a history discipline: the error names
+        // the one that is.
+        for text in [
+            "baseline:64",
+            "baseline:0",
+            "ftv:0.5:64",
+            "ftv-approx:0.5:64:0.5:64",
+        ] {
+            let err = BackendSpec::parse(text).expect_err(text);
+            assert!(err.contains("compact:<C>"), "{err}");
+        }
         assert_eq!(
             BackendSpec::parse("baseline:compact"),
             Ok(BackendSpec::Baseline {

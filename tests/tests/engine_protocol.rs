@@ -63,8 +63,9 @@ fn stats_reports_retained_history_per_shard() {
     assert_eq!(stats_field(&stats, "history_objects="), "10,10", "{stats}");
     assert_eq!(stats_field(&stats, "history_saved="), "0,0", "{stats}");
 
-    // Truncating cap: the newest 4 objects survive, 6 were dropped.
-    let capped = chain_service("baseline:4");
+    // Compaction with a hard cap: before the first sweep the cap alone
+    // bites, so the newest 4 objects survive and 6 were dropped.
+    let capped = chain_service("baseline:compact:4");
     for i in 0..10 {
         capped.respond_line(&format!("INGEST {},{}", i % 3, i % 3));
     }
