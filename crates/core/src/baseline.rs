@@ -7,12 +7,12 @@
 //! similar preferences — the inefficiency the FilterThenVerify family
 //! removes.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 use pm_model::{Object, ObjectId, UserId};
-use pm_porder::{CompiledPreference, Dominance, Fingerprint, Preference};
+use pm_porder::{CompiledPreference, Dominance, Preference};
 
+use crate::buckets::BucketTable;
 use crate::delta::DeltaLog;
 use crate::history::{History, HistoryMode};
 use crate::monitor::{Arrival, ContinuousMonitor, MonitorState};
@@ -34,6 +34,29 @@ pub(crate) struct FrontierUpdate {
     pub(crate) is_pareto: bool,
     pub(crate) newly_inserted: bool,
     pub(crate) evicted: Vec<ObjectId>,
+}
+
+impl FrontierUpdate {
+    /// Reports this update as `member`'s outcome for the arrival of
+    /// `object`: evictions and a genuinely new insert go to the delta log,
+    /// and a Pareto-optimal object makes the member a target.
+    pub(crate) fn report(
+        &self,
+        member: UserId,
+        object: ObjectId,
+        deltas: &mut DeltaLog,
+        targets: &mut Vec<UserId>,
+    ) {
+        for evicted in &self.evicted {
+            deltas.leave(member, *evicted);
+        }
+        if self.newly_inserted {
+            deltas.enter(member, object);
+        }
+        if self.is_pareto {
+            targets.push(member);
+        }
+    }
 }
 
 /// The outcome of updating one user's frontier with a new object
@@ -125,37 +148,19 @@ pub(crate) fn backfill_frontier(
     frontier
 }
 
-/// One distinct preference and everything derived from it: identical
-/// preferences induce identical frontiers (Def. 3.2 depends only on the
-/// preference relations), so all users holding this preference share one
-/// compiled form and one maintained frontier.
-#[derive(Debug, Clone)]
-struct Bucket {
-    fingerprint: Fingerprint,
-    preference: Arc<Preference>,
-    compiled: Arc<CompiledPreference>,
-    /// Users holding this preference, in registration order.
-    members: Vec<UserId>,
-    frontier: Frontier,
-}
-
 /// Algorithm 1: the per-user baseline monitor.
 ///
-/// Internally the monitor is bucketed by preference [`Fingerprint`] (full
-/// equality check on collision): each distinct preference is compiled once
-/// and its Pareto frontier maintained once, with arrivals expanded to every
-/// member for notification and delta purposes. Per-user observable behavior
-/// is unchanged; the work and memory per arrival scale with the number of
-/// *distinct* preferences (the paper's Sec. 4 shared-preference premise).
+/// Internally the monitor keeps a bucket table: each distinct preference
+/// is compiled once and its Pareto frontier maintained once, with arrivals
+/// expanded to every member for notification and delta purposes. Per-user
+/// observable behavior is unchanged; the work and memory per arrival scale
+/// with the number of *distinct* preferences (the paper's Sec. 4
+/// shared-preference premise).
 #[derive(Debug, Clone)]
 pub struct BaselineMonitor {
-    buckets: Vec<Bucket>,
-    /// User index → bucket index.
-    user_bucket: Vec<usize>,
-    /// Fingerprint → bucket indices. More than one bucket per fingerprint
-    /// only on hash collision or for twins deliberately kept apart under a
-    /// capped history (see [`Self::add_user`]).
-    by_fp: HashMap<Fingerprint, Vec<usize>>,
+    /// One frontier per distinct preference. Twins share a bucket unless a
+    /// capped history keeps them apart (see [`Self::add_user`]).
+    table: BucketTable<Frontier>,
     /// Retained object history for mid-stream registration/update backfill
     /// (see [`History`] for the cap semantics).
     history: History,
@@ -180,101 +185,21 @@ impl BaselineMonitor {
     /// skyline union (see [`crate::history`] for the full contract and the
     /// novel-preference caveat).
     pub fn with_history(preferences: Vec<Preference>, mode: HistoryMode) -> Self {
-        let mut this = Self {
-            buckets: Vec::new(),
-            user_bucket: Vec::new(),
-            by_fp: HashMap::new(),
-            history: History::new(mode),
+        let mut table = BucketTable::new();
+        let mut history = History::new(mode);
+        for preference in &preferences {
+            // Widen the compaction universe once per distinct preference,
+            // not once per user.
+            table.add(preference, true, |_| {
+                history.observe(preference);
+                Frontier::new()
+            });
+        }
+        Self {
+            table,
+            history,
             stats: MonitorStats::new(),
             timers: MonitorTimers::disabled(),
-        };
-        for (idx, preference) in preferences.into_iter().enumerate() {
-            let user = UserId::from(idx);
-            let fingerprint = preference.fingerprint();
-            match this.find_bucket(fingerprint, &preference) {
-                Some(bucket) => {
-                    this.buckets[bucket].members.push(user);
-                    this.user_bucket.push(bucket);
-                }
-                None => {
-                    // Compile (and widen the compaction universe) once per
-                    // distinct preference, not once per user.
-                    this.history.observe(&preference);
-                    let bucket =
-                        this.push_bucket(fingerprint, preference, vec![user], Frontier::new());
-                    this.user_bucket.push(bucket);
-                }
-            }
-        }
-        this
-    }
-
-    /// The bucket holding exactly `preference`, if any (fingerprint lookup
-    /// plus full equality check; first match wins).
-    fn find_bucket(&self, fingerprint: Fingerprint, preference: &Preference) -> Option<usize> {
-        self.by_fp.get(&fingerprint).and_then(|buckets| {
-            buckets
-                .iter()
-                .copied()
-                .find(|&b| self.buckets[b].preference.as_ref() == preference)
-        })
-    }
-
-    /// Appends a new bucket (compiling the preference) and indexes it.
-    fn push_bucket(
-        &mut self,
-        fingerprint: Fingerprint,
-        preference: Preference,
-        members: Vec<UserId>,
-        frontier: Frontier,
-    ) -> usize {
-        let bucket = self.buckets.len();
-        let compiled = Arc::new(preference.compile());
-        self.buckets.push(Bucket {
-            fingerprint,
-            preference: Arc::new(preference),
-            compiled,
-            members,
-            frontier,
-        });
-        self.by_fp.entry(fingerprint).or_default().push(bucket);
-        bucket
-    }
-
-    /// Removes `user_idx` from its bucket, dropping the bucket when its
-    /// last member leaves (swap-remove; the moved bucket's members and
-    /// fingerprint index are repointed). `user_bucket[user_idx]` is stale
-    /// afterwards — the caller either reassigns or discards it.
-    fn detach_user(&mut self, user_idx: usize) {
-        let b = self.user_bucket[user_idx];
-        let user = UserId::from(user_idx);
-        let bucket = &mut self.buckets[b];
-        bucket.members.retain(|&member| member != user);
-        if !bucket.members.is_empty() {
-            return;
-        }
-        let fingerprint = bucket.fingerprint;
-        if let Some(buckets) = self.by_fp.get_mut(&fingerprint) {
-            buckets.retain(|&other| other != b);
-            if buckets.is_empty() {
-                self.by_fp.remove(&fingerprint);
-            }
-        }
-        let last = self.buckets.len() - 1;
-        self.buckets.swap_remove(b);
-        if b < last {
-            let moved_fp = self.buckets[b].fingerprint;
-            if let Some(buckets) = self.by_fp.get_mut(&moved_fp) {
-                for other in buckets {
-                    if *other == last {
-                        *other = b;
-                    }
-                }
-            }
-            let members = self.buckets[b].members.clone();
-            for member in members {
-                self.user_bucket[member.index()] = b;
-            }
         }
     }
 
@@ -294,13 +219,13 @@ impl BaselineMonitor {
 
     /// The preference of `user`.
     pub fn preference(&self, user: UserId) -> &Preference {
-        &self.buckets[self.user_bucket[user.index()]].preference
+        &self.table.bucket_of(user).preference.preference
     }
 
     /// Number of distinct preferences currently monitored (= maintained
     /// frontiers).
     pub fn distinct_preferences(&self) -> usize {
-        self.buckets.len()
+        self.table.len()
     }
 
     /// Number of retained history objects (for cap observability).
@@ -332,26 +257,18 @@ impl ContinuousMonitor for BaselineMonitor {
         timed(timer.as_ref(), || {
             let mut targets = Vec::new();
             let mut deltas = DeltaLog::new();
-            for bucket in &mut self.buckets {
+            for bucket in self.table.buckets_mut() {
                 // One frontier update per *distinct* preference, expanded
                 // to every member: identical preferences have identical
                 // frontiers, so the per-user outcome is exactly Alg. 1's.
                 let update = update_pareto_frontier_traced(
-                    &bucket.compiled,
-                    &mut bucket.frontier,
+                    &bucket.preference.compiled,
+                    &mut bucket.state,
                     &object,
                     &mut self.stats,
                 );
                 for &member in &bucket.members {
-                    for evicted in &update.evicted {
-                        deltas.leave(member, *evicted);
-                    }
-                    if update.newly_inserted {
-                        deltas.enter(member, object.id());
-                    }
-                    if update.is_pareto {
-                        targets.push(member);
-                    }
+                    update.report(member, object.id(), &mut deltas, &mut targets);
                 }
             }
             targets.sort_unstable();
@@ -367,93 +284,45 @@ impl ContinuousMonitor for BaselineMonitor {
     }
 
     fn frontier(&self, user: UserId) -> Vec<ObjectId> {
-        let bucket = &self.buckets[self.user_bucket[user.index()]];
-        bucket.frontier.keys().copied().collect()
+        self.table.bucket_of(user).state.keys().copied().collect()
     }
 
     fn num_users(&self) -> usize {
-        self.user_bucket.len()
+        self.table.num_users()
     }
 
     fn add_user(&mut self, preference: Preference) -> UserId {
-        let user = UserId::from(self.user_bucket.len());
         // Widen the compaction universe *before* any replay: from this
         // point on no sweep may evict an object this preference's frontier
         // needs (objects evicted before a genuinely novel preference
         // arrived are the documented caveat — see `crate::history`).
         self.history.observe(&preference);
-        let fingerprint = preference.fingerprint();
-        if self.lossless_history() {
-            // A twin's live frontier IS what the replay would produce:
-            // join its bucket in O(1) instead of backfilling.
-            if let Some(bucket) = self.find_bucket(fingerprint, &preference) {
-                self.buckets[bucket].members.push(user);
-                self.user_bucket.push(bucket);
-                return user;
-            }
-        }
-        let compiled = preference.compile();
+        // With a lossless history a twin's live frontier IS what the replay
+        // would produce: join its bucket in O(1) instead of backfilling.
+        let share = self.lossless_history();
         let timer = self.timers.backfill.clone();
-        let frontier = timed(timer.as_ref(), || {
-            backfill_frontier(&self.history, &compiled, &mut self.stats)
-        });
-        let bucket = self.push_bucket(fingerprint, preference, vec![user], frontier);
-        self.user_bucket.push(bucket);
-        user
+        let (history, stats) = (&self.history, &mut self.stats);
+        self.table.add(&preference, share, |compiled| {
+            timed(timer.as_ref(), || {
+                backfill_frontier(history, compiled, stats)
+            })
+        })
     }
 
     fn update_user(&mut self, user: UserId, preference: Preference) {
-        let idx = user.index();
-        assert!(idx < self.user_bucket.len(), "user {user} out of range");
         self.history.observe(&preference);
-        let fingerprint = preference.fingerprint();
-        let lossless = self.lossless_history();
-        if lossless {
-            let current = &self.buckets[self.user_bucket[idx]];
-            if current.preference.as_ref() == &preference {
-                // Unchanged preference: the shared frontier is already the
-                // exact replay outcome, nothing to do.
-                return;
-            }
-        }
-        // Leave the old bucket first — it may die, shifting bucket indices
-        // — then join a twin bucket (lossless only) or backfill a new one.
-        self.detach_user(idx);
-        if lossless {
-            if let Some(bucket) = self.find_bucket(fingerprint, &preference) {
-                self.buckets[bucket].members.push(UserId::from(idx));
-                self.user_bucket[idx] = bucket;
-                return;
-            }
-        }
-        let compiled = preference.compile();
+        let share = self.lossless_history();
         let timer = self.timers.backfill.clone();
-        let frontier = timed(timer.as_ref(), || {
-            backfill_frontier(&self.history, &compiled, &mut self.stats)
+        let (history, stats) = (&self.history, &mut self.stats);
+        self.table.update(user, &preference, share, |compiled| {
+            timed(timer.as_ref(), || {
+                backfill_frontier(history, compiled, stats)
+            })
         });
-        let bucket = self.push_bucket(fingerprint, preference, vec![UserId::from(idx)], frontier);
-        self.user_bucket[idx] = bucket;
     }
 
     fn remove_user(&mut self, user: UserId) -> Option<UserId> {
-        let idx = user.index();
-        assert!(idx < self.user_bucket.len(), "user {user} out of range");
-        self.detach_user(idx);
-        let last = self.user_bucket.len() - 1;
-        self.user_bucket.swap_remove(idx);
-        if idx == last {
-            return None;
-        }
-        // The previously-last user now answers to `idx`: rename it inside
-        // its bucket's member list.
-        let moved = UserId::from(last);
-        let renamed = UserId::from(idx);
-        for member in &mut self.buckets[self.user_bucket[idx]].members {
-            if *member == moved {
-                *member = renamed;
-            }
-        }
-        Some(moved)
+        self.table.remove(user)
     }
 
     fn observe_preference(&mut self, preference: &Preference) {
@@ -467,15 +336,9 @@ impl ContinuousMonitor for BaselineMonitor {
 
     fn stats(&self) -> MonitorStats {
         let mut stats = self.stats;
-        stats.history_objects = self.history.len() as u64;
-        stats.history_evicted = self.history.evicted();
-        stats.history_bytes = self.history.approx_bytes();
-        stats.distinct_preferences = self.buckets.len() as u64;
-        stats.preference_bytes = self
-            .buckets
-            .iter()
-            .map(|b| b.preference.approx_bytes() + b.compiled.approx_bytes())
-            .sum::<usize>() as u64;
+        self.history.report_gauges(&mut stats);
+        stats.distinct_preferences = self.table.len() as u64;
+        stats.preference_bytes = self.table.preference_bytes();
         stats
     }
 
@@ -494,17 +357,11 @@ impl ContinuousMonitor for BaselineMonitor {
     }
 
     fn restore_stats(&mut self, stats: MonitorStats) {
-        self.stats.arrivals = stats.arrivals;
-        self.stats.expirations = stats.expirations;
-        self.stats.comparisons = stats.comparisons;
-        self.stats.notifications = stats.notifications;
+        self.stats.restore_counters(stats);
     }
 
     fn member_preferences(&self) -> Vec<Preference> {
-        self.user_bucket
-            .iter()
-            .map(|&b| self.buckets[b].preference.as_ref().clone())
-            .collect()
+        self.table.member_preferences()
     }
 }
 

@@ -8,205 +8,21 @@
 //! is a superset of every member's frontier: an arriving object dominated
 //! within `P_U` can be discarded for all members at once (filter step); an
 //! object that survives is verified against each member's own frontier
-//! (verify step).
+//! (verify step). The clusters, users and filter step live in the cluster
+//! core shared with the sliding-window variant.
 
 use pm_model::{Object, ObjectId, UserId};
-use pm_porder::{CompiledPreference, Dominance, Interned, Preference, PreferenceInterner};
+use pm_porder::Preference;
 
-use pm_cluster::{
-    approx_common_preference, ApproxConfig, Cluster, Clustering, Placement, Removal, Update,
-};
+use pm_cluster::{ApproxConfig, Cluster, Clustering};
 
-use crate::baseline::{backfill_frontier, update_pareto_frontier_traced, Frontier};
+use crate::baseline::backfill_frontier;
+use crate::clusters::ClusterCore;
 use crate::delta::DeltaLog;
 use crate::history::{History, HistoryMode};
 use crate::monitor::{Arrival, ContinuousMonitor, MonitorState};
 use crate::stats::MonitorStats;
 use crate::timers::{timed, MonitorTimers};
-
-/// How a membership change must repair the affected cluster, shared by the
-/// append-only and sliding FilterThenVerify monitors.
-pub(crate) enum ClusterRepair {
-    /// Remove the cluster at this index (swap-remove).
-    Drop(usize),
-    /// Recompute the cluster's virtual preference; `Some` carries the exact
-    /// common relation already computed by a maintained [`Clustering`].
-    Recompute(usize, Option<Preference>),
-    /// The user was in no cluster (hand-built monitors only).
-    Detached,
-}
-
-/// The virtual preference a cluster of `members` should carry: the
-/// approximate common relation (Alg. 3) when the monitor is an approx
-/// variant, else the exact common relation (Def. 4.1).
-pub(crate) fn members_virtual_preference(
-    users: &[Interned],
-    members: &[UserId],
-    approx: Option<ApproxConfig>,
-) -> Preference {
-    let prefs = members.iter().map(|m| users[m.index()].preference.as_ref());
-    match approx {
-        Some(config) => approx_common_preference(prefs, config),
-        None => Preference::common_of(prefs),
-    }
-}
-
-/// The virtual preference a cluster should carry after a membership or
-/// preference change: exact monitors use `exact_common` (the relation a
-/// maintained [`Clustering`] already re-AND-folded) when available, approx
-/// monitors (and hand-built exact monitors, which have no maintained
-/// clustering) rebuild from the members' current preferences. Shared by
-/// both FilterThenVerify monitors so the exact-vs-approx decision lives in
-/// one place.
-pub(crate) fn resolve_virtual_preference(
-    users: &[Interned],
-    members: &[UserId],
-    approx: Option<ApproxConfig>,
-    exact_common: Option<Preference>,
-) -> Preference {
-    match (approx, exact_common) {
-        (None, Some(common)) => common,
-        _ => members_virtual_preference(users, members, approx),
-    }
-}
-
-/// Decides how removing `user` repairs the cluster list: consults (and
-/// updates) the maintained clustering when present, else falls back to
-/// scanning `member_lists` (hand-built monitors).
-pub(crate) fn plan_detach<'a>(
-    clustering: Option<&mut Clustering>,
-    member_lists: impl Iterator<Item = &'a [UserId]>,
-    user: UserId,
-) -> ClusterRepair {
-    match clustering {
-        Some(clustering) => match clustering.remove_user(user) {
-            Removal::Dissolved { cluster } => ClusterRepair::Drop(cluster),
-            Removal::Shrunk { cluster, common } => ClusterRepair::Recompute(cluster, Some(common)),
-        },
-        None => {
-            let mut lists = member_lists.enumerate();
-            let Some((cluster, members)) = lists.find(|(_, members)| members.contains(&user))
-            else {
-                return ClusterRepair::Detached;
-            };
-            if members.len() == 1 {
-                ClusterRepair::Drop(cluster)
-            } else {
-                ClusterRepair::Recompute(cluster, None)
-            }
-        }
-    }
-}
-
-/// How an in-place preference update must repair the cluster list, shared
-/// by the append-only and sliding FilterThenVerify monitors. Cluster
-/// indices are valid in order: repair `from` first, then `to`.
-pub(crate) enum UpdateRepair {
-    /// The user stayed in this cluster: recompute its virtual preference
-    /// (`Some` carries the exact common relation already re-AND-folded by
-    /// the maintained [`Clustering`]).
-    Stay(usize, Option<Preference>),
-    /// The user left cluster `from` and joined existing cluster `to`; both
-    /// virtual preferences must be recomputed.
-    Move {
-        from: usize,
-        from_common: Option<Preference>,
-        to: usize,
-        to_common: Option<Preference>,
-    },
-    /// The user left cluster `from` and becomes a new singleton cluster,
-    /// appended at the end of the cluster list by the caller.
-    MoveSingleton {
-        from: usize,
-        from_common: Option<Preference>,
-    },
-    /// The user was in no cluster (hand-built monitors only).
-    Detached,
-}
-
-/// Decides how updating `user`'s preference repairs the cluster list:
-/// consults (and updates) the maintained clustering when present, else
-/// falls back to scanning `member_lists` and keeping the user in its
-/// current cluster (hand-built monitors have no branch cut to judge by).
-pub(crate) fn plan_update<'a>(
-    clustering: Option<&mut Clustering>,
-    member_lists: impl Iterator<Item = &'a [UserId]>,
-    user: UserId,
-    preference: &Preference,
-) -> UpdateRepair {
-    match clustering {
-        Some(clustering) => match clustering.update_user(user, preference) {
-            Update::Stayed { cluster, common } => UpdateRepair::Stay(cluster, Some(common)),
-            Update::Moved {
-                from_cluster,
-                from_common,
-                to,
-            } => match to {
-                Placement::Joined { cluster, common } => UpdateRepair::Move {
-                    from: from_cluster,
-                    from_common: Some(from_common),
-                    to: cluster,
-                    to_common: Some(common),
-                },
-                Placement::Singleton { .. } => UpdateRepair::MoveSingleton {
-                    from: from_cluster,
-                    from_common: Some(from_common),
-                },
-            },
-        },
-        None => {
-            let mut lists = member_lists.enumerate();
-            match lists.find(|(_, members)| members.contains(&user)) {
-                Some((cluster, _)) => UpdateRepair::Stay(cluster, None),
-                None => UpdateRepair::Detached,
-            }
-        }
-    }
-}
-
-/// After a swap-remove renumbered the previously-last user `moved` to
-/// `user`, renames it across the maintained clustering and every cluster
-/// member list.
-pub(crate) fn renumber_member<'a>(
-    clustering: Option<&mut Clustering>,
-    member_lists: impl Iterator<Item = &'a mut Vec<UserId>>,
-    moved: UserId,
-    user: UserId,
-) {
-    if let Some(clustering) = clustering {
-        clustering.rename_user(moved, user);
-    }
-    for members in member_lists {
-        for member in members.iter_mut() {
-            if *member == moved {
-                *member = user;
-            }
-        }
-    }
-}
-
-/// One cluster's shared state: the virtual user's preference and frontier.
-#[derive(Debug, Clone)]
-struct ClusterState {
-    members: Vec<UserId>,
-    /// Build-time form of the virtual user's preference (introspection).
-    virtual_preference: Preference,
-    /// Bitset form the filter step actually runs on.
-    compiled: CompiledPreference,
-    frontier: Frontier,
-}
-
-impl ClusterState {
-    fn new(members: Vec<UserId>, virtual_preference: Preference) -> Self {
-        let compiled = virtual_preference.compile();
-        Self {
-            members,
-            virtual_preference,
-            compiled,
-            frontier: Frontier::new(),
-        }
-    }
-}
 
 /// Algorithm 2: shared-computation monitoring via user clusters.
 ///
@@ -216,22 +32,8 @@ impl ClusterState {
 /// the virtual users' preferences differ.
 #[derive(Debug, Clone)]
 pub struct FilterThenVerifyMonitor {
-    /// Per-user interned preference handles: build-time and bitset forms
-    /// are shared `Arc`s, one per *distinct* preference.
-    users: Vec<Interned>,
-    /// Deduplicates the users' preferences so memory and compilation scale
-    /// with the number of distinct preferences, not the population size.
-    interner: PreferenceInterner,
-    user_frontiers: Vec<Frontier>,
-    clusters: Vec<ClusterState>,
-    /// Incrementally maintained clustering driving dynamic membership.
-    /// `None` for monitors built from fixed cluster lists, which fall back
-    /// to singleton insertion and `common_of` repair.
-    clustering: Option<Clustering>,
-    /// Alg. 3 thresholds when the virtual preferences are approximate:
-    /// membership changes then rebuild the affected cluster's virtual
-    /// preference with Alg. 3 instead of the exact intersection.
-    approx: Option<ApproxConfig>,
+    /// Users, their frontiers and the clusters with their `P_U`.
+    core: ClusterCore<()>,
     /// Retained object history for mid-stream registration/update backfill
     /// (see [`History`] for the cap semantics).
     history: History,
@@ -246,11 +48,7 @@ impl FilterThenVerifyMonitor {
     /// virtual users carry the *exact* common preference relations
     /// (FilterThenVerify).
     pub fn new(preferences: Vec<Preference>, clusters: &[Cluster]) -> Self {
-        let states = clusters
-            .iter()
-            .map(|c| ClusterState::new(c.members.clone(), c.common.clone()))
-            .collect();
-        Self::from_states(preferences, states, None, None)
+        Self::from_core(ClusterCore::fixed(preferences, clusters, None))
     }
 
     /// Creates a monitor backed by an incrementally maintained
@@ -259,17 +57,7 @@ impl FilterThenVerifyMonitor {
     /// [`Self::remove_user`] repairs only the affected cluster, both
     /// through the clustering's compiled intersect path.
     pub fn with_clustering(preferences: Vec<Preference>, clustering: Clustering) -> Self {
-        assert_eq!(
-            clustering.num_users(),
-            preferences.len(),
-            "clustering must cover exactly the monitor's users"
-        );
-        let states = clustering
-            .clusters()
-            .into_iter()
-            .map(|c| ClusterState::new(c.members, c.common))
-            .collect();
-        Self::from_states(preferences, states, Some(clustering), None)
+        Self::from_core(ClusterCore::maintained(preferences, clustering, None))
     }
 
     /// Creates a monitor whose virtual users carry *approximate* common
@@ -280,8 +68,7 @@ impl FilterThenVerifyMonitor {
         clusters: &[Cluster],
         config: ApproxConfig,
     ) -> Self {
-        let states = Self::approx_states(&preferences, clusters, config);
-        Self::from_states(preferences, states, None, Some(config))
+        Self::from_core(ClusterCore::fixed(preferences, clusters, Some(config)))
     }
 
     /// Like [`Self::with_clustering`], but the virtual preferences are the
@@ -292,13 +79,11 @@ impl FilterThenVerifyMonitor {
         clustering: Clustering,
         config: ApproxConfig,
     ) -> Self {
-        assert_eq!(
-            clustering.num_users(),
-            preferences.len(),
-            "clustering must cover exactly the monitor's users"
-        );
-        let states = Self::approx_states(&preferences, &clustering.clusters(), config);
-        Self::from_states(preferences, states, Some(clustering), Some(config))
+        Self::from_core(ClusterCore::maintained(
+            preferences,
+            clustering,
+            Some(config),
+        ))
     }
 
     /// Creates a monitor with explicitly provided virtual-user preferences,
@@ -307,47 +92,12 @@ impl FilterThenVerifyMonitor {
         preferences: Vec<Preference>,
         clusters: Vec<(Vec<UserId>, Preference)>,
     ) -> Self {
-        let states = clusters
-            .into_iter()
-            .map(|(members, virtual_preference)| ClusterState::new(members, virtual_preference))
-            .collect();
-        Self::from_states(preferences, states, None, None)
+        Self::from_core(ClusterCore::build(preferences, clusters, None, None))
     }
 
-    fn approx_states(
-        preferences: &[Preference],
-        clusters: &[Cluster],
-        config: ApproxConfig,
-    ) -> Vec<ClusterState> {
-        clusters
-            .iter()
-            .map(|c| {
-                let members = c.members.clone();
-                let virtual_preference = approx_common_preference(
-                    members.iter().map(|u| &preferences[u.index()]),
-                    config,
-                );
-                ClusterState::new(members, virtual_preference)
-            })
-            .collect()
-    }
-
-    fn from_states(
-        preferences: Vec<Preference>,
-        clusters: Vec<ClusterState>,
-        clustering: Option<Clustering>,
-        approx: Option<ApproxConfig>,
-    ) -> Self {
-        let mut interner = PreferenceInterner::new();
-        let users: Vec<Interned> = preferences.iter().map(|p| interner.intern(p)).collect();
-        let user_frontiers = vec![Frontier::new(); users.len()];
+    fn from_core(core: ClusterCore<()>) -> Self {
         Self {
-            users,
-            interner,
-            user_frontiers,
-            clusters,
-            clustering,
-            approx,
+            core,
             history: History::new(HistoryMode::Unlimited),
             stats: MonitorStats::new(),
             timers: MonitorTimers::disabled(),
@@ -364,7 +114,7 @@ impl FilterThenVerifyMonitor {
     /// preferences seed the compaction universe.
     pub fn with_history(mut self, mode: HistoryMode) -> Self {
         self.history = History::new(mode);
-        for user in &self.users {
+        for user in &self.core.users {
             self.history.observe(user.preference.as_ref());
         }
         self
@@ -393,147 +143,47 @@ impl FilterThenVerifyMonitor {
 
     /// Number of clusters (`k` in the paper's cost model).
     pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
+        self.core.clusters.len()
     }
 
     /// The preference of `user`.
     pub fn preference(&self, user: UserId) -> &Preference {
-        self.users[user.index()].preference.as_ref()
+        self.core.preference(user)
     }
 
     /// Number of distinct preferences across the current users (a gauge;
     /// users with equal preferences share one compiled bitset).
     pub fn distinct_preferences(&self) -> usize {
-        self.interner.distinct()
+        self.core.distinct_preferences()
     }
 
     /// The cluster-level ("virtual user") frontier `P_U`, sorted by id.
     pub fn cluster_frontier(&self, cluster: usize) -> Vec<ObjectId> {
-        self.clusters[cluster].frontier.keys().copied().collect()
+        self.core.cluster_frontier(cluster)
     }
 
     /// The virtual preference used by a cluster (common or approximate).
     pub fn virtual_preference(&self, cluster: usize) -> &Preference {
-        &self.clusters[cluster].virtual_preference
+        &self.core.clusters[cluster].virtual_preference
     }
 
     /// The member users of a cluster.
     pub fn cluster_members(&self, cluster: usize) -> &[UserId] {
-        &self.clusters[cluster].members
-    }
-
-    /// Recomputes one cluster's virtual preference after a membership or
-    /// preference change: `exact_common` (from a maintained [`Clustering`])
-    /// is used directly for exact monitors, while approx monitors rebuild
-    /// the Alg. 3 relation from the members' (already updated) preferences.
-    ///
-    /// The cluster frontier `P_U` is deliberately left as-is: any set of
-    /// alive objects filtered under the new common relation is a sound
-    /// filter — rejection still implies dominance for every member — and
-    /// exactness rests on the per-member verify step (Lemma 4.6), not on
-    /// `P_U` being the exact cluster frontier.
-    fn refresh_virtual_preference(&mut self, cluster: usize, exact_common: Option<Preference>) {
-        let virtual_preference = resolve_virtual_preference(
-            &self.users,
-            &self.clusters[cluster].members,
-            self.approx,
-            exact_common,
-        );
-        let state = &mut self.clusters[cluster];
-        state.compiled = virtual_preference.compile();
-        state.virtual_preference = virtual_preference;
-    }
-
-    /// Appends a new singleton cluster for `user`, whose filter frontier is
-    /// exactly the member's own (already backfilled) frontier.
-    fn push_singleton(&mut self, user: UserId) {
-        let preference = self.users[user.index()].preference.as_ref().clone();
-        let mut state = ClusterState::new(vec![user], preference);
-        state.frontier = self.user_frontiers[user.index()].clone();
-        self.clusters.push(state);
-    }
-
-    /// Procedure `updateParetoFrontierU` of Alg. 2: filters `object` through
-    /// the cluster frontier. Returns `true` when the object survives (and
-    /// has been added to `P_U`).
-    fn update_cluster_frontier(
-        cluster: &mut ClusterState,
-        user_frontiers: &mut [Frontier],
-        object: &Object,
-        stats: &mut MonitorStats,
-        deltas: &mut DeltaLog,
-    ) -> bool {
-        let mut is_pareto = true;
-        let mut dominated: Vec<ObjectId> = Vec::new();
-        for existing in cluster.frontier.values() {
-            stats.record_comparison();
-            match cluster.compiled.compare(object, existing) {
-                Dominance::Dominates => dominated.push(existing.id()),
-                Dominance::DominatedBy => {
-                    is_pareto = false;
-                    dominated.clear();
-                    break;
-                }
-                // Identical or incomparable objects stay; identical objects
-                // are resolved per user during verification.
-                Dominance::Identical | Dominance::Incomparable => {}
-            }
-        }
-        for id in &dominated {
-            cluster.frontier.remove(id);
-            // o ≻_U o' implies o ≻_c o' for every member (Def. 4.1), so o'
-            // leaves every member's frontier too (Alg. 2, lines 4–6).
-            for member in &cluster.members {
-                if user_frontiers[member.index()].remove(id).is_some() {
-                    deltas.leave(*member, *id);
-                }
-            }
-        }
-        if is_pareto {
-            cluster.frontier.insert(object.id(), object.clone());
-        }
-        is_pareto
+        &self.core.clusters[cluster].members
     }
 }
 
+// Membership changes leave the changed clusters' `P_U` as it is: any set
+// of alive objects filtered under the new common relation is a sound
+// filter — rejection still implies dominance for every member — and
+// exactness rests on the per-member verify step (Lemma 4.6), not on `P_U`
+// being the exact cluster frontier.
 impl ContinuousMonitor for FilterThenVerifyMonitor {
     fn process(&mut self, object: Object) -> Arrival {
         let timer = self.timers.arrival.clone();
         timed(timer.as_ref(), || {
-            let mut targets = Vec::new();
             let mut deltas = DeltaLog::new();
-            for cluster in &mut self.clusters {
-                let survives = Self::update_cluster_frontier(
-                    cluster,
-                    &mut self.user_frontiers,
-                    &object,
-                    &mut self.stats,
-                    &mut deltas,
-                );
-                if !survives {
-                    continue;
-                }
-                // Verify against each member's own preference (Alg. 2, line 6).
-                for member in &cluster.members {
-                    let pref = self.users[member.index()].compiled.as_ref();
-                    let update = update_pareto_frontier_traced(
-                        pref,
-                        &mut self.user_frontiers[member.index()],
-                        &object,
-                        &mut self.stats,
-                    );
-                    for evicted in &update.evicted {
-                        deltas.leave(*member, *evicted);
-                    }
-                    if update.newly_inserted {
-                        deltas.enter(*member, object.id());
-                    }
-                    if update.is_pareto {
-                        targets.push(*member);
-                    }
-                }
-            }
-            targets.sort_unstable();
+            let targets = self.core.arrive(&object, &mut self.stats, &mut deltas);
             self.stats.record_arrival(targets.len());
             let id = object.id();
             self.history.push(object);
@@ -546,128 +196,44 @@ impl ContinuousMonitor for FilterThenVerifyMonitor {
     }
 
     fn frontier(&self, user: UserId) -> Vec<ObjectId> {
-        self.user_frontiers[user.index()].keys().copied().collect()
+        self.core.frontier(user)
     }
 
     fn num_users(&self) -> usize {
-        self.users.len()
+        self.core.users.len()
     }
 
     fn add_user(&mut self, preference: Preference) -> UserId {
-        let user = UserId::from(self.users.len());
         // Widen the compaction universe before the replay (see
         // `crate::history` for the novel-preference caveat).
         self.history.observe(&preference);
-        let interned = self.interner.intern(&preference);
         let timer = self.timers.backfill.clone();
-        let frontier = timed(timer.as_ref(), || {
-            backfill_frontier(&self.history, &interned.compiled, &mut self.stats)
+        let (history, stats) = (&self.history, &mut self.stats);
+        let (user, _) = self.core.add_user(&preference, |compiled| {
+            timed(timer.as_ref(), || {
+                backfill_frontier(history, compiled, stats)
+            })
         });
-        self.users.push(interned);
-        self.user_frontiers.push(frontier);
-        let placement = match self.clustering.as_mut() {
-            Some(clustering) => {
-                clustering.insert_user(user, self.users[user.index()].preference.as_ref())
-            }
-            None => Placement::Singleton {
-                cluster: self.clusters.len(),
-            },
-        };
-        match placement {
-            Placement::Joined { cluster, common } => {
-                self.clusters[cluster].members.push(user);
-                self.refresh_virtual_preference(cluster, Some(common));
-            }
-            Placement::Singleton { cluster } => {
-                debug_assert_eq!(cluster, self.clusters.len());
-                self.push_singleton(user);
-            }
-        }
         user
     }
 
     fn update_user(&mut self, user: UserId, preference: Preference) {
-        let idx = user.index();
-        assert!(idx < self.users.len(), "user {user} out of range");
         // Rebuild the user's own frontier by replaying the retained history
         // under the new preference (exact for compacting histories unless
         // the preference is genuinely novel, best-effort once a hard cap
         // has bitten).
         self.history.observe(&preference);
-        // Intern the new preference before releasing the old handle so an
-        // update within the same distinct preference never recompiles.
-        let interned = self.interner.intern(&preference);
         let timer = self.timers.backfill.clone();
-        self.user_frontiers[idx] = timed(timer.as_ref(), || {
-            backfill_frontier(&self.history, &interned.compiled, &mut self.stats)
+        let (history, stats) = (&self.history, &mut self.stats);
+        self.core.update_user(user, &preference, |compiled| {
+            timed(timer.as_ref(), || {
+                backfill_frontier(history, compiled, stats)
+            })
         });
-        let old = std::mem::replace(&mut self.users[idx], interned);
-        self.interner.release(old.id);
-        // Repair the clustering: stay put with a re-AND-folded common
-        // relation, or move via local repair + re-insertion.
-        let repair = plan_update(
-            self.clustering.as_mut(),
-            self.clusters.iter().map(|c| c.members.as_slice()),
-            user,
-            self.users[idx].preference.as_ref(),
-        );
-        match repair {
-            UpdateRepair::Stay(cluster, exact_common) => {
-                self.refresh_virtual_preference(cluster, exact_common);
-            }
-            UpdateRepair::Move {
-                from,
-                from_common,
-                to,
-                to_common,
-            } => {
-                self.clusters[from].members.retain(|&m| m != user);
-                self.refresh_virtual_preference(from, from_common);
-                self.clusters[to].members.push(user);
-                self.refresh_virtual_preference(to, to_common);
-            }
-            UpdateRepair::MoveSingleton { from, from_common } => {
-                self.clusters[from].members.retain(|&m| m != user);
-                self.refresh_virtual_preference(from, from_common);
-                self.push_singleton(user);
-            }
-            UpdateRepair::Detached => {}
-        }
     }
 
     fn remove_user(&mut self, user: UserId) -> Option<UserId> {
-        let idx = user.index();
-        assert!(idx < self.users.len(), "user {user} out of range");
-        let repair = plan_detach(
-            self.clustering.as_mut(),
-            self.clusters.iter().map(|c| c.members.as_slice()),
-            user,
-        );
-        match repair {
-            ClusterRepair::Drop(cluster) => {
-                self.clusters.swap_remove(cluster);
-            }
-            ClusterRepair::Recompute(cluster, exact_common) => {
-                self.clusters[cluster].members.retain(|&m| m != user);
-                self.refresh_virtual_preference(cluster, exact_common);
-            }
-            ClusterRepair::Detached => {}
-        }
-        let last = self.users.len() - 1;
-        let old = self.users.swap_remove(idx);
-        self.interner.release(old.id);
-        self.user_frontiers.swap_remove(idx);
-        if idx == last {
-            return None;
-        }
-        let moved = UserId::from(last);
-        renumber_member(
-            self.clustering.as_mut(),
-            self.clusters.iter_mut().map(|c| &mut c.members),
-            moved,
-            user,
-        );
-        Some(moved)
+        self.core.remove_user(user).0
     }
 
     fn observe_preference(&mut self, preference: &Preference) {
@@ -681,11 +247,8 @@ impl ContinuousMonitor for FilterThenVerifyMonitor {
 
     fn stats(&self) -> MonitorStats {
         let mut stats = self.stats;
-        stats.history_objects = self.history.len() as u64;
-        stats.history_evicted = self.history.evicted();
-        stats.history_bytes = self.history.approx_bytes();
-        stats.distinct_preferences = self.interner.distinct() as u64;
-        stats.preference_bytes = self.interner.approx_bytes() as u64;
+        self.history.report_gauges(&mut stats);
+        self.core.report_gauges(&mut stats);
         stats
     }
 
@@ -704,17 +267,11 @@ impl ContinuousMonitor for FilterThenVerifyMonitor {
     }
 
     fn restore_stats(&mut self, stats: MonitorStats) {
-        self.stats.arrivals = stats.arrivals;
-        self.stats.expirations = stats.expirations;
-        self.stats.comparisons = stats.comparisons;
-        self.stats.notifications = stats.notifications;
+        self.stats.restore_counters(stats);
     }
 
     fn member_preferences(&self) -> Vec<Preference> {
-        self.users
-            .iter()
-            .map(|u| u.preference.as_ref().clone())
-            .collect()
+        self.core.member_preferences()
     }
 }
 

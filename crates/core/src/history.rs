@@ -62,6 +62,7 @@ use pm_obs::LogHistogram;
 use pm_porder::{Preference, PreferenceUniverse};
 
 use crate::monitor::HistoryState;
+use crate::stats::MonitorStats;
 
 /// How often the compacting history sweeps, in pushes. Sweeps are O(G²)
 /// union pre-filters plus per-member confirmations over the G retained
@@ -241,6 +242,14 @@ impl History {
     /// savings" versus an unlimited history.
     pub fn evicted(&self) -> u64 {
         self.evicted
+    }
+
+    /// Fills the history gauges of a monitor's `stats`: retained objects,
+    /// lifetime evictions and retained bytes.
+    pub(crate) fn report_gauges(&self, stats: &mut MonitorStats) {
+        stats.history_objects = self.len() as u64;
+        stats.history_evicted = self.evicted;
+        stats.history_bytes = self.approx_bytes();
     }
 
     /// Estimated heap bytes held by the retained history. The linear mode pays

@@ -27,6 +27,8 @@
 
 pub mod accuracy;
 pub mod baseline;
+mod buckets;
+mod clusters;
 pub mod delta;
 pub mod filter_then_verify;
 pub mod history;

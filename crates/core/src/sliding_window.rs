@@ -17,22 +17,15 @@
 //! the paper accepts for this algorithm family; the baseline `BaselineSW`
 //! has no such loss and serves as ground truth.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use pm_model::{Object, ObjectId, SlidingWindow, UserId};
-use pm_porder::{
-    CompiledPreference, Dominance, Fingerprint, Interned, Preference, PreferenceInterner,
-};
+use pm_porder::{CompiledPreference, Dominance, Preference};
 
-use pm_cluster::{approx_common_preference, ApproxConfig, Cluster, Clustering, Placement};
+use pm_cluster::{ApproxConfig, Cluster, Clustering};
 
 use crate::baseline::{update_pareto_frontier, update_pareto_frontier_traced, Frontier};
+use crate::buckets::BucketTable;
+use crate::clusters::ClusterCore;
 use crate::delta::DeltaLog;
-use crate::filter_then_verify::{
-    plan_detach, plan_update, renumber_member, resolve_virtual_preference, ClusterRepair,
-    UpdateRepair,
-};
 use crate::monitor::{Arrival, ContinuousMonitor, MonitorState};
 use crate::stats::MonitorStats;
 use crate::timers::{timed, MonitorTimers};
@@ -77,36 +70,79 @@ fn mend_frontier(
     true
 }
 
-/// One distinct preference of the sliding-window baseline: identical
-/// preferences induce identical frontiers *and* identical Def. 7.4 buffers
-/// (both depend only on the preference relations and the alive objects), so
-/// all users holding this preference share one of each.
-#[derive(Debug, Clone)]
-struct SwBucket {
-    fingerprint: Fingerprint,
-    preference: Arc<Preference>,
-    compiled: Arc<CompiledPreference>,
-    /// Users holding this preference, in registration order.
-    members: Vec<UserId>,
+/// The frontier of the alive objects under `preference`: the backfill of a
+/// user registered or updated mid-stream.
+fn window_frontier(
+    window: &SlidingWindow,
+    preference: &CompiledPreference,
+    stats: &mut MonitorStats,
+) -> Frontier {
+    let mut frontier = Frontier::new();
+    for object in window.iter() {
+        update_pareto_frontier(preference, &mut frontier, object, stats);
+    }
+    frontier
+}
+
+/// Rebuilds `frontier` and `buffer` by replaying the alive objects
+/// oldest-first under `preference`: exactly the frontier and Pareto
+/// frontier buffer (Def. 7.4) a from-start user would hold over the current
+/// window.
+fn replay_window(
+    window: &SlidingWindow,
+    preference: &CompiledPreference,
+    frontier: &mut Frontier,
+    buffer: &mut Frontier,
+    stats: &mut MonitorStats,
+) {
+    frontier.clear();
+    buffer.clear();
+    for object in window.iter() {
+        update_pareto_frontier(preference, frontier, object, stats);
+        refresh_buffer(preference, buffer, object, stats);
+    }
+}
+
+/// The state of one distinct preference of the sliding-window baseline:
+/// identical preferences induce identical frontiers *and* identical
+/// Def. 7.4 buffers (both depend only on the preference relations and the
+/// alive objects), so all users holding it share one of each.
+#[derive(Debug, Clone, Default)]
+struct Buffered {
     frontier: Frontier,
     buffer: Frontier,
 }
 
+impl Buffered {
+    /// The state replayed from the current window (see [`replay_window`]).
+    fn replayed(
+        window: &SlidingWindow,
+        preference: &CompiledPreference,
+        stats: &mut MonitorStats,
+    ) -> Self {
+        let mut state = Self::default();
+        replay_window(
+            window,
+            preference,
+            &mut state.frontier,
+            &mut state.buffer,
+            stats,
+        );
+        state
+    }
+}
+
 /// Algorithm 4: per-user sliding-window baseline.
 ///
-/// Internally bucketed by preference [`Fingerprint`] (full equality check
-/// on collision), like [`crate::BaselineMonitor`]: one frontier + buffer
-/// per *distinct* preference, arrivals and expiries expanded to every
-/// member. Unlike the append-only baseline there is no lossless-history
-/// caveat — the window is the complete alive set, so a twin's replay always
-/// equals the live twin state and twins share unconditionally.
+/// Internally bucketed by distinct preference, like
+/// [`crate::BaselineMonitor`]: one frontier + buffer per *distinct*
+/// preference, arrivals and expiries expanded to every member. Unlike the
+/// append-only baseline there is no lossless-history caveat — the window is
+/// the complete alive set, so a twin's replay always equals the live twin
+/// state and twins share unconditionally.
 #[derive(Debug, Clone)]
 pub struct BaselineSwMonitor {
-    buckets: Vec<SwBucket>,
-    /// User index → bucket index.
-    user_bucket: Vec<usize>,
-    /// Fingerprint → bucket indices (more than one only on hash collision).
-    by_fp: HashMap<Fingerprint, Vec<usize>>,
+    table: BucketTable<Buffered>,
     window: SlidingWindow,
     stats: MonitorStats,
     /// Optional latency histograms (see [`MonitorTimers`]); disabled slots
@@ -118,29 +154,16 @@ impl BaselineSwMonitor {
     /// Creates a monitor over a window of `window_size` objects, compiling
     /// every distinct preference to its bitset form up front.
     pub fn new(preferences: Vec<Preference>, window_size: usize) -> Self {
-        let mut this = Self {
-            buckets: Vec::new(),
-            user_bucket: Vec::new(),
-            by_fp: HashMap::new(),
+        let mut table = BucketTable::new();
+        for preference in &preferences {
+            table.add(preference, true, |_| Buffered::default());
+        }
+        Self {
+            table,
             window: SlidingWindow::new(window_size),
             stats: MonitorStats::new(),
             timers: MonitorTimers::disabled(),
-        };
-        for (idx, preference) in preferences.into_iter().enumerate() {
-            let user = UserId::from(idx);
-            let fingerprint = preference.fingerprint();
-            match this.find_bucket(fingerprint, &preference) {
-                Some(bucket) => {
-                    this.buckets[bucket].members.push(user);
-                    this.user_bucket.push(bucket);
-                }
-                None => {
-                    let bucket = this.push_bucket(fingerprint, preference, vec![user]);
-                    this.user_bucket.push(bucket);
-                }
-            }
         }
-        this
     }
 
     /// The window capacity `W`.
@@ -151,103 +174,31 @@ impl BaselineSwMonitor {
     /// Number of distinct preferences currently monitored (= maintained
     /// frontier/buffer pairs).
     pub fn distinct_preferences(&self) -> usize {
-        self.buckets.len()
+        self.table.len()
     }
 
     /// The preference of `user`.
     pub fn preference(&self, user: UserId) -> &Preference {
-        &self.buckets[self.user_bucket[user.index()]].preference
+        &self.table.bucket_of(user).preference.preference
     }
 
     /// The current Pareto frontier buffer `PB_c` of a user, sorted by id.
     pub fn buffer(&self, user: UserId) -> Vec<ObjectId> {
-        let bucket = &self.buckets[self.user_bucket[user.index()]];
-        bucket.buffer.keys().copied().collect()
-    }
-
-    /// The bucket holding exactly `preference`, if any.
-    fn find_bucket(&self, fingerprint: Fingerprint, preference: &Preference) -> Option<usize> {
-        self.by_fp.get(&fingerprint).and_then(|buckets| {
-            buckets
-                .iter()
-                .copied()
-                .find(|&b| self.buckets[b].preference.as_ref() == preference)
-        })
-    }
-
-    /// Appends a new bucket, compiling the preference and replaying the
-    /// alive objects oldest-first: the replay rebuilds exactly the frontier
-    /// and Pareto frontier buffer (Def. 7.4) a from-start user would hold
-    /// over the current window.
-    fn push_bucket(
-        &mut self,
-        fingerprint: Fingerprint,
-        preference: Preference,
-        members: Vec<UserId>,
-    ) -> usize {
-        let compiled = preference.compile();
-        let mut frontier = Frontier::new();
-        let mut buffer = Frontier::new();
-        let timer = self.timers.backfill.clone();
-        timed(timer.as_ref(), || {
-            for object in self.window.iter() {
-                update_pareto_frontier(&compiled, &mut frontier, object, &mut self.stats);
-                refresh_buffer(&compiled, &mut buffer, object, &mut self.stats);
-            }
-        });
-        let bucket = self.buckets.len();
-        self.buckets.push(SwBucket {
-            fingerprint,
-            preference: Arc::new(preference),
-            compiled: Arc::new(compiled),
-            members,
-            frontier,
-            buffer,
-        });
-        self.by_fp.entry(fingerprint).or_default().push(bucket);
-        bucket
-    }
-
-    /// Removes `user_idx` from its bucket, dropping the bucket when its
-    /// last member leaves (swap-remove with index repointing).
-    fn detach_user(&mut self, user_idx: usize) {
-        let b = self.user_bucket[user_idx];
-        let user = UserId::from(user_idx);
-        let bucket = &mut self.buckets[b];
-        bucket.members.retain(|&member| member != user);
-        if !bucket.members.is_empty() {
-            return;
-        }
-        let fingerprint = bucket.fingerprint;
-        if let Some(buckets) = self.by_fp.get_mut(&fingerprint) {
-            buckets.retain(|&other| other != b);
-            if buckets.is_empty() {
-                self.by_fp.remove(&fingerprint);
-            }
-        }
-        let last = self.buckets.len() - 1;
-        self.buckets.swap_remove(b);
-        if b < last {
-            let moved_fp = self.buckets[b].fingerprint;
-            if let Some(buckets) = self.by_fp.get_mut(&moved_fp) {
-                for other in buckets {
-                    if *other == last {
-                        *other = b;
-                    }
-                }
-            }
-            let members = self.buckets[b].members.clone();
-            for member in members {
-                self.user_bucket[member.index()] = b;
-            }
-        }
+        self.table
+            .bucket_of(user)
+            .state
+            .buffer
+            .keys()
+            .copied()
+            .collect()
     }
 
     fn expire(&mut self, expired: &Object, deltas: &mut DeltaLog) {
         self.stats.record_expiration();
-        for bucket in &mut self.buckets {
-            let was_pareto = bucket.frontier.remove(&expired.id()).is_some();
-            if was_pareto {
+        for bucket in self.table.buckets_mut() {
+            let compiled = &bucket.preference.compiled;
+            let state = &mut bucket.state;
+            if state.frontier.remove(&expired.id()).is_some() {
                 for &member in &bucket.members {
                     deltas.leave(member, expired.id());
                 }
@@ -256,19 +207,15 @@ impl BaselineSwMonitor {
                 // distinct preference, oldest candidate first so a promoted
                 // object is visible when its younger dominated peers are
                 // checked.
-                for candidate in bucket.buffer.values() {
+                for candidate in state.buffer.values() {
                     if candidate.id() == expired.id() {
                         continue;
                     }
                     self.stats.record_comparison();
-                    if bucket.compiled.compare(expired, candidate) == Dominance::Dominates {
-                        let present = bucket.frontier.contains_key(&candidate.id());
-                        if mend_frontier(
-                            &bucket.compiled,
-                            &mut bucket.frontier,
-                            candidate,
-                            &mut self.stats,
-                        ) && !present
+                    if compiled.compare(expired, candidate) == Dominance::Dominates {
+                        let present = state.frontier.contains_key(&candidate.id());
+                        if mend_frontier(compiled, &mut state.frontier, candidate, &mut self.stats)
+                            && !present
                         {
                             for &member in &bucket.members {
                                 deltas.enter(member, candidate.id());
@@ -277,7 +224,7 @@ impl BaselineSwMonitor {
                     }
                 }
             }
-            bucket.buffer.remove(&expired.id());
+            state.buffer.remove(&expired.id());
         }
     }
 }
@@ -292,30 +239,18 @@ impl ContinuousMonitor for BaselineSwMonitor {
                 self.expire(expired, &mut deltas);
             }
             let mut targets = Vec::new();
-            for bucket in &mut self.buckets {
+            for bucket in self.table.buckets_mut() {
+                let compiled = &bucket.preference.compiled;
                 let update = update_pareto_frontier_traced(
-                    &bucket.compiled,
-                    &mut bucket.frontier,
+                    compiled,
+                    &mut bucket.state.frontier,
                     &object,
                     &mut self.stats,
                 );
                 for &member in &bucket.members {
-                    for evicted in &update.evicted {
-                        deltas.leave(member, *evicted);
-                    }
-                    if update.newly_inserted {
-                        deltas.enter(member, object.id());
-                    }
-                    if update.is_pareto {
-                        targets.push(member);
-                    }
+                    update.report(member, object.id(), &mut deltas, &mut targets);
                 }
-                refresh_buffer(
-                    &bucket.compiled,
-                    &mut bucket.buffer,
-                    &object,
-                    &mut self.stats,
-                );
+                refresh_buffer(compiled, &mut bucket.state.buffer, &object, &mut self.stats);
             }
             targets.sort_unstable();
             self.stats.record_arrival(targets.len());
@@ -328,49 +263,33 @@ impl ContinuousMonitor for BaselineSwMonitor {
     }
 
     fn frontier(&self, user: UserId) -> Vec<ObjectId> {
-        let bucket = &self.buckets[self.user_bucket[user.index()]];
-        bucket.frontier.keys().copied().collect()
+        self.table
+            .bucket_of(user)
+            .state
+            .frontier
+            .keys()
+            .copied()
+            .collect()
     }
 
     fn num_users(&self) -> usize {
-        self.user_bucket.len()
+        self.table.num_users()
     }
 
     fn add_user(&mut self, preference: Preference) -> UserId {
-        let user = UserId::from(self.user_bucket.len());
-        let fingerprint = preference.fingerprint();
         // The window is the complete alive set, so a twin's replay always
         // equals the live twin state: join its bucket in O(1).
-        match self.find_bucket(fingerprint, &preference) {
-            Some(bucket) => {
-                self.buckets[bucket].members.push(user);
-                self.user_bucket.push(bucket);
-            }
-            None => {
-                let bucket = self.push_bucket(fingerprint, preference, vec![user]);
-                self.user_bucket.push(bucket);
-            }
-        }
-        user
+        let timer = self.timers.backfill.clone();
+        let (window, stats) = (&self.window, &mut self.stats);
+        self.table.add(&preference, true, |compiled| {
+            timed(timer.as_ref(), || {
+                Buffered::replayed(window, compiled, stats)
+            })
+        })
     }
 
     fn remove_user(&mut self, user: UserId) -> Option<UserId> {
-        let idx = user.index();
-        assert!(idx < self.user_bucket.len(), "user {user} out of range");
-        self.detach_user(idx);
-        let last = self.user_bucket.len() - 1;
-        self.user_bucket.swap_remove(idx);
-        if idx == last {
-            return None;
-        }
-        let moved = UserId::from(last);
-        let renamed = UserId::from(idx);
-        for member in &mut self.buckets[self.user_bucket[idx]].members {
-            if *member == moved {
-                *member = renamed;
-            }
-        }
-        Some(moved)
+        self.table.remove(user)
     }
 
     fn set_timers(&mut self, timers: MonitorTimers) {
@@ -379,37 +298,19 @@ impl ContinuousMonitor for BaselineSwMonitor {
     }
 
     fn update_user(&mut self, user: UserId, preference: Preference) {
-        let idx = user.index();
-        assert!(idx < self.user_bucket.len(), "user {user} out of range");
-        if self.buckets[self.user_bucket[idx]].preference.as_ref() == &preference {
-            // Unchanged preference: the shared state is already the exact
-            // replay outcome.
-            return;
-        }
-        let fingerprint = preference.fingerprint();
-        // Leave the old bucket first — it may die, shifting bucket indices
-        // — then join a twin bucket or replay a new one.
-        self.detach_user(idx);
-        match self.find_bucket(fingerprint, &preference) {
-            Some(bucket) => {
-                self.buckets[bucket].members.push(UserId::from(idx));
-                self.user_bucket[idx] = bucket;
-            }
-            None => {
-                let bucket = self.push_bucket(fingerprint, preference, vec![UserId::from(idx)]);
-                self.user_bucket[idx] = bucket;
-            }
-        }
+        let timer = self.timers.backfill.clone();
+        let (window, stats) = (&self.window, &mut self.stats);
+        self.table.update(user, &preference, true, |compiled| {
+            timed(timer.as_ref(), || {
+                Buffered::replayed(window, compiled, stats)
+            })
+        });
     }
 
     fn stats(&self) -> MonitorStats {
         let mut stats = self.stats;
-        stats.distinct_preferences = self.buckets.len() as u64;
-        stats.preference_bytes = self
-            .buckets
-            .iter()
-            .map(|b| b.preference.approx_bytes() + b.compiled.approx_bytes())
-            .sum::<usize>() as u64;
+        stats.distinct_preferences = self.table.len() as u64;
+        stats.preference_bytes = self.table.preference_bytes();
         stats
     }
 
@@ -430,66 +331,24 @@ impl ContinuousMonitor for BaselineSwMonitor {
     }
 
     fn restore_stats(&mut self, stats: MonitorStats) {
-        self.stats.arrivals = stats.arrivals;
-        self.stats.expirations = stats.expirations;
-        self.stats.comparisons = stats.comparisons;
-        self.stats.notifications = stats.notifications;
+        self.stats.restore_counters(stats);
     }
 
     fn member_preferences(&self) -> Vec<Preference> {
-        self.user_bucket
-            .iter()
-            .map(|&b| self.buckets[b].preference.as_ref().clone())
-            .collect()
-    }
-}
-
-/// One cluster's sliding-window state.
-#[derive(Debug, Clone)]
-struct SwClusterState {
-    members: Vec<UserId>,
-    /// Build-time form of the virtual user's preference (introspection).
-    virtual_preference: Preference,
-    /// Bitset form the filter, mend and buffer scans run on.
-    compiled: CompiledPreference,
-    /// `P_U`: the cluster-level frontier.
-    frontier: Frontier,
-    /// `PB_U`: the cluster-level Pareto frontier buffer (Def. 7.4 for the
-    /// virtual user). One buffer per cluster replaces one buffer per user.
-    buffer: Frontier,
-}
-
-impl SwClusterState {
-    fn new(members: Vec<UserId>, virtual_preference: Preference) -> Self {
-        let compiled = virtual_preference.compile();
-        Self {
-            members,
-            virtual_preference,
-            compiled,
-            frontier: Frontier::new(),
-            buffer: Frontier::new(),
-        }
+        self.table.member_preferences()
     }
 }
 
 /// Algorithm 5: sliding-window FilterThenVerify (and its approximate
 /// variant, depending on how the virtual preferences are built).
+///
+/// Clusters keep, besides `P_U`, the cluster-level Pareto frontier buffer
+/// `PB_U` (Def. 7.4 for the virtual user): one buffer per cluster replaces
+/// one buffer per user.
 #[derive(Debug, Clone)]
 pub struct FilterThenVerifySwMonitor {
-    /// Per-user interned preference handles: build-time and bitset forms
-    /// are shared `Arc`s, one per *distinct* preference.
-    users: Vec<Interned>,
-    /// Deduplicates the users' preferences so memory and compilation scale
-    /// with the number of distinct preferences, not the population size.
-    interner: PreferenceInterner,
-    user_frontiers: Vec<Frontier>,
-    clusters: Vec<SwClusterState>,
-    /// Incrementally maintained clustering driving dynamic membership;
-    /// `None` for monitors built from fixed cluster lists (fallback:
-    /// singleton insertion, `common_of` repair).
-    clustering: Option<Clustering>,
-    /// Alg. 3 thresholds when the virtual preferences are approximate.
-    approx: Option<ApproxConfig>,
+    /// Users, their frontiers and the clusters with their `P_U` and `PB_U`.
+    core: ClusterCore<Frontier>,
     window: SlidingWindow,
     stats: MonitorStats,
     /// Optional latency histograms (see [`MonitorTimers`]); disabled slots
@@ -501,11 +360,7 @@ impl FilterThenVerifySwMonitor {
     /// Creates a monitor whose clusters carry exact common preference
     /// relations (FilterThenVerifySW).
     pub fn new(preferences: Vec<Preference>, clusters: &[Cluster], window_size: usize) -> Self {
-        let states = clusters
-            .iter()
-            .map(|c| SwClusterState::new(c.members.clone(), c.common.clone()))
-            .collect();
-        Self::from_states(preferences, states, None, None, window_size)
+        Self::from_core(ClusterCore::fixed(preferences, clusters, None), window_size)
     }
 
     /// Creates a monitor backed by an incrementally maintained
@@ -518,17 +373,8 @@ impl FilterThenVerifySwMonitor {
         clustering: Clustering,
         window_size: usize,
     ) -> Self {
-        assert_eq!(
-            clustering.num_users(),
-            preferences.len(),
-            "clustering must cover exactly the monitor's users"
-        );
-        let states = clustering
-            .clusters()
-            .into_iter()
-            .map(|c| SwClusterState::new(c.members, c.common))
-            .collect();
-        Self::from_states(preferences, states, Some(clustering), None, window_size)
+        let core = ClusterCore::maintained(preferences, clustering, None);
+        Self::from_core(core, window_size)
     }
 
     /// Creates a monitor whose clusters carry approximate common preference
@@ -539,8 +385,8 @@ impl FilterThenVerifySwMonitor {
         config: ApproxConfig,
         window_size: usize,
     ) -> Self {
-        let states = Self::approx_states(&preferences, clusters, config);
-        Self::from_states(preferences, states, None, Some(config), window_size)
+        let core = ClusterCore::fixed(preferences, clusters, Some(config));
+        Self::from_core(core, window_size)
     }
 
     /// Like [`Self::with_clustering`], but with approximate (Alg. 3)
@@ -551,19 +397,8 @@ impl FilterThenVerifySwMonitor {
         config: ApproxConfig,
         window_size: usize,
     ) -> Self {
-        assert_eq!(
-            clustering.num_users(),
-            preferences.len(),
-            "clustering must cover exactly the monitor's users"
-        );
-        let states = Self::approx_states(&preferences, &clustering.clusters(), config);
-        Self::from_states(
-            preferences,
-            states,
-            Some(clustering),
-            Some(config),
-            window_size,
-        )
+        let core = ClusterCore::maintained(preferences, clustering, Some(config));
+        Self::from_core(core, window_size)
     }
 
     /// Creates a monitor with explicitly provided virtual preferences.
@@ -572,47 +407,13 @@ impl FilterThenVerifySwMonitor {
         clusters: Vec<(Vec<UserId>, Preference)>,
         window_size: usize,
     ) -> Self {
-        let states = clusters
-            .into_iter()
-            .map(|(members, virtual_preference)| SwClusterState::new(members, virtual_preference))
-            .collect();
-        Self::from_states(preferences, states, None, None, window_size)
+        let core = ClusterCore::build(preferences, clusters, None, None);
+        Self::from_core(core, window_size)
     }
 
-    fn approx_states(
-        preferences: &[Preference],
-        clusters: &[Cluster],
-        config: ApproxConfig,
-    ) -> Vec<SwClusterState> {
-        clusters
-            .iter()
-            .map(|c| {
-                let virtual_preference = approx_common_preference(
-                    c.members.iter().map(|u| &preferences[u.index()]),
-                    config,
-                );
-                SwClusterState::new(c.members.clone(), virtual_preference)
-            })
-            .collect()
-    }
-
-    fn from_states(
-        preferences: Vec<Preference>,
-        clusters: Vec<SwClusterState>,
-        clustering: Option<Clustering>,
-        approx: Option<ApproxConfig>,
-        window_size: usize,
-    ) -> Self {
-        let mut interner = PreferenceInterner::new();
-        let users: Vec<Interned> = preferences.iter().map(|p| interner.intern(p)).collect();
-        let user_frontiers = vec![Frontier::new(); users.len()];
+    fn from_core(core: ClusterCore<Frontier>, window_size: usize) -> Self {
         Self {
-            users,
-            interner,
-            user_frontiers,
-            clusters,
-            clustering,
-            approx,
+            core,
             window: SlidingWindow::new(window_size),
             stats: MonitorStats::new(),
             timers: MonitorTimers::disabled(),
@@ -621,18 +422,18 @@ impl FilterThenVerifySwMonitor {
 
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
-        self.clusters.len()
+        self.core.clusters.len()
     }
 
     /// The preference of `user`.
     pub fn preference(&self, user: UserId) -> &Preference {
-        self.users[user.index()].preference.as_ref()
+        self.core.preference(user)
     }
 
     /// Number of distinct preferences across the current users (a gauge;
     /// users with equal preferences share one compiled bitset).
     pub fn distinct_preferences(&self) -> usize {
-        self.interner.distinct()
+        self.core.distinct_preferences()
     }
 
     /// The window capacity `W`.
@@ -642,64 +443,43 @@ impl FilterThenVerifySwMonitor {
 
     /// The cluster-level frontier `P_U`, sorted by id.
     pub fn cluster_frontier(&self, cluster: usize) -> Vec<ObjectId> {
-        self.clusters[cluster].frontier.keys().copied().collect()
+        self.core.cluster_frontier(cluster)
     }
 
     /// The virtual preference used by a cluster (common or approximate).
     pub fn virtual_preference(&self, cluster: usize) -> &Preference {
-        &self.clusters[cluster].virtual_preference
+        &self.core.clusters[cluster].virtual_preference
     }
 
     /// The cluster-level buffer `PB_U`, sorted by id.
     pub fn cluster_buffer(&self, cluster: usize) -> Vec<ObjectId> {
-        self.clusters[cluster].buffer.keys().copied().collect()
-    }
-
-    /// Recomputes one cluster's virtual preference after a membership or
-    /// preference change (`exact_common` comes from a maintained
-    /// [`Clustering`]; approx monitors rebuild the Alg. 3 relation from the
-    /// members' already-updated preferences). The caller must follow up
-    /// with [`Self::rebuild_cluster_state`]: under a different common
-    /// relation the old buffer may be too small to mend future expiries.
-    fn refresh_virtual_preference(&mut self, cluster: usize, exact_common: Option<Preference>) {
-        let virtual_preference = resolve_virtual_preference(
-            &self.users,
-            &self.clusters[cluster].members,
-            self.approx,
-            exact_common,
-        );
-        let state = &mut self.clusters[cluster];
-        state.compiled = virtual_preference.compile();
-        state.virtual_preference = virtual_preference;
+        self.core.clusters[cluster].buffer.keys().copied().collect()
     }
 
     /// Rebuilds one cluster's frontier `P_U` and buffer `PB_U` by replaying
-    /// the alive objects under the cluster's (possibly just recomputed)
-    /// compiled common relation. After a membership change the old state was
+    /// the alive objects under the cluster's (just recomputed) compiled
+    /// common relation. After a membership change the old state was
     /// computed under a different relation, and a too-small buffer would
     /// miss promotions on future expiries — the replay restores exactly the
     /// state a from-start cluster would hold over the current window.
     fn rebuild_cluster_state(&mut self, cluster: usize) {
-        let state = &mut self.clusters[cluster];
-        state.frontier.clear();
-        state.buffer.clear();
-        for object in self.window.iter() {
-            update_pareto_frontier(
-                &state.compiled,
-                &mut state.frontier,
-                object,
-                &mut self.stats,
-            );
-            refresh_buffer(&state.compiled, &mut state.buffer, object, &mut self.stats);
-        }
+        let state = &mut self.core.clusters[cluster];
+        replay_window(
+            &self.window,
+            &state.compiled,
+            &mut state.frontier,
+            &mut state.buffer,
+            &mut self.stats,
+        );
     }
 
     fn expire(&mut self, expired: &Object, deltas: &mut DeltaLog) {
         self.stats.record_expiration();
-        for cluster in &mut self.clusters {
+        let core = &mut self.core;
+        for cluster in &mut core.clusters {
             let was_cluster_pareto = cluster.frontier.remove(&expired.id()).is_some();
             for member in &cluster.members {
-                if self.user_frontiers[member.index()]
+                if core.user_frontiers[member.index()]
                     .remove(&expired.id())
                     .is_some()
                 {
@@ -727,10 +507,10 @@ impl FilterThenVerifySwMonitor {
                     );
                     if promoted {
                         for member in &cluster.members {
-                            let frontier = &mut self.user_frontiers[member.index()];
+                            let frontier = &mut core.user_frontiers[member.index()];
                             let present = frontier.contains_key(&candidate.id());
                             if mend_frontier(
-                                self.users[member.index()].compiled.as_ref(),
+                                &core.users[member.index()].compiled,
                                 frontier,
                                 candidate,
                                 &mut self.stats,
@@ -745,67 +525,6 @@ impl FilterThenVerifySwMonitor {
             cluster.buffer.remove(&expired.id());
         }
     }
-
-    /// `updateParetoFrontierUSW` plus the per-member verification of Alg. 5
-    /// (lines 10–14). Returns the members for whom the object is reported
-    /// Pareto-optimal.
-    fn arrive_cluster(
-        users: &[Interned],
-        user_frontiers: &mut [Frontier],
-        cluster: &mut SwClusterState,
-        object: &Object,
-        stats: &mut MonitorStats,
-        deltas: &mut DeltaLog,
-    ) -> Vec<UserId> {
-        let mut targets = Vec::new();
-        let mut is_pareto = true;
-        let mut dominated: Vec<ObjectId> = Vec::new();
-        for existing in cluster.frontier.values() {
-            stats.record_comparison();
-            match cluster.compiled.compare(object, existing) {
-                Dominance::Dominates => dominated.push(existing.id()),
-                Dominance::DominatedBy => {
-                    is_pareto = false;
-                    dominated.clear();
-                    break;
-                }
-                Dominance::Identical | Dominance::Incomparable => {}
-            }
-        }
-        for id in &dominated {
-            cluster.frontier.remove(id);
-            for member in &cluster.members {
-                if user_frontiers[member.index()].remove(id).is_some() {
-                    deltas.leave(*member, *id);
-                }
-            }
-        }
-        if is_pareto {
-            cluster.frontier.insert(object.id(), object.clone());
-            for member in &cluster.members {
-                let pref = users[member.index()].compiled.as_ref();
-                let update = update_pareto_frontier_traced(
-                    pref,
-                    &mut user_frontiers[member.index()],
-                    object,
-                    stats,
-                );
-                for evicted in &update.evicted {
-                    deltas.leave(*member, *evicted);
-                }
-                if update.newly_inserted {
-                    deltas.enter(*member, object.id());
-                }
-                if update.is_pareto {
-                    targets.push(*member);
-                }
-            }
-        }
-        // Alg. 5, line 15: the cluster buffer is refreshed regardless of
-        // whether the object is currently Pareto-optimal.
-        refresh_buffer(&cluster.compiled, &mut cluster.buffer, object, stats);
-        targets
-    }
 }
 
 impl ContinuousMonitor for FilterThenVerifySwMonitor {
@@ -817,18 +536,19 @@ impl ContinuousMonitor for FilterThenVerifySwMonitor {
             if let Some(expired) = &event.expired {
                 self.expire(expired, &mut deltas);
             }
-            let mut targets = Vec::new();
-            for cluster in &mut self.clusters {
-                targets.extend(Self::arrive_cluster(
-                    &self.users,
-                    &mut self.user_frontiers,
-                    cluster,
+            // `updateParetoFrontierUSW` plus the per-member verification of
+            // Alg. 5 (lines 9–14) ...
+            let targets = self.core.arrive(&object, &mut self.stats, &mut deltas);
+            // ... and line 15: every cluster buffer is refreshed regardless
+            // of whether the object is currently Pareto-optimal.
+            for cluster in &mut self.core.clusters {
+                refresh_buffer(
+                    &cluster.compiled,
+                    &mut cluster.buffer,
                     &object,
                     &mut self.stats,
-                    &mut deltas,
-                ));
+                );
             }
-            targets.sort_unstable();
             self.stats.record_arrival(targets.len());
             Arrival {
                 object: object.id(),
@@ -839,145 +559,46 @@ impl ContinuousMonitor for FilterThenVerifySwMonitor {
     }
 
     fn frontier(&self, user: UserId) -> Vec<ObjectId> {
-        self.user_frontiers[user.index()].keys().copied().collect()
+        self.core.frontier(user)
     }
 
     fn num_users(&self) -> usize {
-        self.users.len()
+        self.core.users.len()
     }
 
     fn add_user(&mut self, preference: Preference) -> UserId {
-        let user = UserId::from(self.users.len());
-        let interned = self.interner.intern(&preference);
-        // Backfill the user's own frontier from the alive objects.
-        let mut frontier = Frontier::new();
+        // Backfill the user's own frontier from the alive objects, then
+        // replay the window into the cluster it joined.
         let timer = self.timers.backfill.clone();
-        timed(timer.as_ref(), || {
-            for object in self.window.iter() {
-                update_pareto_frontier(&interned.compiled, &mut frontier, object, &mut self.stats);
-            }
+        let (window, stats) = (&self.window, &mut self.stats);
+        let (user, cluster) = self.core.add_user(&preference, |compiled| {
+            timed(timer.as_ref(), || window_frontier(window, compiled, stats))
         });
-        self.users.push(interned);
-        self.user_frontiers.push(frontier);
-        let placement = match self.clustering.as_mut() {
-            Some(clustering) => {
-                clustering.insert_user(user, self.users[user.index()].preference.as_ref())
-            }
-            None => Placement::Singleton {
-                cluster: self.clusters.len(),
-            },
-        };
-        let cluster = match placement {
-            Placement::Joined { cluster, common } => {
-                self.clusters[cluster].members.push(user);
-                self.refresh_virtual_preference(cluster, Some(common));
-                cluster
-            }
-            Placement::Singleton { cluster } => {
-                debug_assert_eq!(cluster, self.clusters.len());
-                self.clusters.push(SwClusterState::new(
-                    vec![user],
-                    self.users[user.index()].preference.as_ref().clone(),
-                ));
-                cluster
-            }
-        };
         self.rebuild_cluster_state(cluster);
         user
     }
 
     fn update_user(&mut self, user: UserId, preference: Preference) {
-        let idx = user.index();
-        assert!(idx < self.users.len(), "user {user} out of range");
         // Rebuild the user's own frontier by replaying the window under the
-        // new preference. Intern before releasing the old handle so an
-        // update within the same distinct preference never recompiles.
-        let interned = self.interner.intern(&preference);
-        let mut frontier = Frontier::new();
-        let timer = self.timers.backfill.clone();
-        timed(timer.as_ref(), || {
-            for object in self.window.iter() {
-                update_pareto_frontier(&interned.compiled, &mut frontier, object, &mut self.stats);
-            }
-        });
-        let old = std::mem::replace(&mut self.users[idx], interned);
-        self.interner.release(old.id);
-        self.user_frontiers[idx] = frontier;
-        // Repair the clustering; every cluster whose common relation changed
+        // new preference; every cluster whose common relation changed
         // replays the window so its frontier and Def. 7.4 buffer match a
         // from-start cluster over the current window.
-        let repair = plan_update(
-            self.clustering.as_mut(),
-            self.clusters.iter().map(|c| c.members.as_slice()),
-            user,
-            self.users[idx].preference.as_ref(),
-        );
-        match repair {
-            UpdateRepair::Stay(cluster, exact_common) => {
-                self.refresh_virtual_preference(cluster, exact_common);
-                self.rebuild_cluster_state(cluster);
-            }
-            UpdateRepair::Move {
-                from,
-                from_common,
-                to,
-                to_common,
-            } => {
-                self.clusters[from].members.retain(|&m| m != user);
-                self.refresh_virtual_preference(from, from_common);
-                self.rebuild_cluster_state(from);
-                self.clusters[to].members.push(user);
-                self.refresh_virtual_preference(to, to_common);
-                self.rebuild_cluster_state(to);
-            }
-            UpdateRepair::MoveSingleton { from, from_common } => {
-                self.clusters[from].members.retain(|&m| m != user);
-                self.refresh_virtual_preference(from, from_common);
-                self.rebuild_cluster_state(from);
-                self.clusters.push(SwClusterState::new(
-                    vec![user],
-                    self.users[idx].preference.as_ref().clone(),
-                ));
-                self.rebuild_cluster_state(self.clusters.len() - 1);
-            }
-            UpdateRepair::Detached => {}
+        let timer = self.timers.backfill.clone();
+        let (window, stats) = (&self.window, &mut self.stats);
+        let changed = self.core.update_user(user, &preference, |compiled| {
+            timed(timer.as_ref(), || window_frontier(window, compiled, stats))
+        });
+        for cluster in changed {
+            self.rebuild_cluster_state(cluster);
         }
     }
 
     fn remove_user(&mut self, user: UserId) -> Option<UserId> {
-        let idx = user.index();
-        assert!(idx < self.users.len(), "user {user} out of range");
-        let repair = plan_detach(
-            self.clustering.as_mut(),
-            self.clusters.iter().map(|c| c.members.as_slice()),
-            user,
-        );
-        match repair {
-            ClusterRepair::Drop(cluster) => {
-                self.clusters.swap_remove(cluster);
-            }
-            ClusterRepair::Recompute(cluster, exact_common) => {
-                self.clusters[cluster].members.retain(|&m| m != user);
-                self.refresh_virtual_preference(cluster, exact_common);
-                self.rebuild_cluster_state(cluster);
-            }
-            ClusterRepair::Detached => {}
+        let (moved, changed) = self.core.remove_user(user);
+        if let Some(cluster) = changed {
+            self.rebuild_cluster_state(cluster);
         }
-        let last = self.users.len() - 1;
-        let old = self.users.swap_remove(idx);
-        self.interner.release(old.id);
-        self.user_frontiers.swap_remove(idx);
-        if idx == last {
-            return None;
-        }
-        let moved = UserId::from(last);
-        renumber_member(
-            self.clustering.as_mut(),
-            self.clusters.iter_mut().map(|c| &mut c.members),
-            moved,
-            user,
-        );
-        Some(moved)
+        moved
     }
 
     fn set_timers(&mut self, timers: MonitorTimers) {
@@ -987,8 +608,7 @@ impl ContinuousMonitor for FilterThenVerifySwMonitor {
 
     fn stats(&self) -> MonitorStats {
         let mut stats = self.stats;
-        stats.distinct_preferences = self.interner.distinct() as u64;
-        stats.preference_bytes = self.interner.approx_bytes() as u64;
+        self.core.report_gauges(&mut stats);
         stats
     }
 
@@ -1009,17 +629,11 @@ impl ContinuousMonitor for FilterThenVerifySwMonitor {
     }
 
     fn restore_stats(&mut self, stats: MonitorStats) {
-        self.stats.arrivals = stats.arrivals;
-        self.stats.expirations = stats.expirations;
-        self.stats.comparisons = stats.comparisons;
-        self.stats.notifications = stats.notifications;
+        self.stats.restore_counters(stats);
     }
 
     fn member_preferences(&self) -> Vec<Preference> {
-        self.users
-            .iter()
-            .map(|u| u.preference.as_ref().clone())
-            .collect()
+        self.core.member_preferences()
     }
 }
 

@@ -76,6 +76,17 @@ impl MonitorStats {
         self.expirations += 1;
     }
 
+    /// Overwrites the four stream counters (arrivals, expirations,
+    /// comparisons, notifications) with snapshot-time values; the gauges
+    /// keep being computed live (see
+    /// [`crate::ContinuousMonitor::restore_stats`]).
+    pub(crate) fn restore_counters(&mut self, snapshot: MonitorStats) {
+        self.arrivals = snapshot.arrivals;
+        self.expirations = snapshot.expirations;
+        self.comparisons = snapshot.comparisons;
+        self.notifications = snapshot.notifications;
+    }
+
     /// Average number of comparisons per arrival (0 if nothing arrived).
     pub fn comparisons_per_arrival(&self) -> f64 {
         if self.arrivals == 0 {
