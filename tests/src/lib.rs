@@ -1,6 +1,13 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+
 use pm_datagen::{Dataset, DatasetProfile};
+use pm_engine::reactor::{serve_with_signal, shutdown_pair, ReactorConfig, Shutdown};
+use pm_engine::EngineService;
 use pm_model::UserId;
 use pm_porder::Preference;
 
@@ -39,6 +46,61 @@ pub fn one_cluster(preferences: &[Preference]) -> Vec<(Vec<UserId>, Preference)>
         (0..preferences.len()).map(UserId::from).collect(),
         Preference::common_of(preferences.iter()),
     )]
+}
+
+/// A reactor-served engine on an ephemeral loopback port. The reactor runs
+/// on a thread with a name unique in the process, and the server shuts
+/// down and joins it on drop, so tests leak neither threads nor ports.
+pub struct TestServer {
+    /// The bound address.
+    pub addr: SocketAddr,
+    thread_name: String,
+    shutdown: Shutdown,
+    thread: Option<JoinHandle<std::io::Result<()>>>,
+}
+
+impl TestServer {
+    /// Serves `service` with `config` until the server is dropped.
+    pub fn spawn(service: Arc<EngineService>, config: ReactorConfig) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+        let addr = listener.local_addr().expect("local address");
+        let (shutdown, signal) = shutdown_pair().expect("shutdown pair");
+        // Linux keeps 15 bytes of a thread name: room for 9999 servers.
+        let thread_name = format!("pm-reactor-{}", NEXT.fetch_add(1, Ordering::Relaxed));
+        let thread = std::thread::Builder::new()
+            .name(thread_name.clone())
+            .spawn(move || serve_with_signal(listener, service, config, signal))
+            .expect("spawn reactor thread");
+        Self {
+            addr,
+            thread_name,
+            shutdown,
+            thread: Some(thread),
+        }
+    }
+
+    /// Live threads of this process named like this server's reactor: the
+    /// reactor itself plus every thread it spawned, because a new Linux
+    /// thread inherits its creator's name (Rust names only threads built
+    /// with a name).
+    #[cfg(target_os = "linux")]
+    pub fn reactor_threads(&self) -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .expect("list /proc/self/task")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.trim_end() == self.thread_name)
+            .count()
+    }
+}
+
+impl Drop for TestServer {
+    fn drop(&mut self) {
+        self.shutdown.shutdown();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 #[cfg(test)]

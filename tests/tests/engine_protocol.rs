@@ -5,12 +5,12 @@
 //! afterwards, both through [`EngineService`] directly and over real TCP.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 
-use pm_engine::server::serve;
+use pm_engine::reactor::ReactorConfig;
 use pm_engine::{BackendSpec, EngineConfig, EngineService, ShardedEngine};
-use pm_integration_tests::small_movie_dataset;
+use pm_integration_tests::{small_movie_dataset, TestServer};
 
 /// Arity of the movie schema used by all tests here.
 const ARITY: usize = 4;
@@ -238,11 +238,9 @@ fn unknown_commands_and_bad_arity_verbs_are_errors() {
 
 #[test]
 fn tcp_connection_survives_a_barrage_of_garbage() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
     let svc = Arc::new(movie_service("ftv:0.4"));
-    let server_svc = Arc::clone(&svc);
-    std::thread::spawn(move || serve(listener, server_svc));
+    let server = TestServer::spawn(Arc::clone(&svc), ReactorConfig::default());
+    let addr = server.addr;
 
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -341,11 +339,9 @@ fn malformed_update_lines_return_errors() {
 
 #[test]
 fn update_churn_over_tcp_is_observable_in_stats() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
     let svc = Arc::new(movie_service("baseline"));
-    let server_svc = Arc::clone(&svc);
-    std::thread::spawn(move || serve(listener, server_svc));
+    let server = TestServer::spawn(Arc::clone(&svc), ReactorConfig::default());
+    let addr = server.addr;
 
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -407,11 +403,9 @@ fn unregister_of_unknown_users_is_an_error_not_fatal() {
 
 #[test]
 fn register_churn_over_tcp_survives_and_is_observable() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
     let svc = Arc::new(movie_service("baseline-sw:32"));
-    let server_svc = Arc::clone(&svc);
-    std::thread::spawn(move || serve(listener, server_svc));
+    let server = TestServer::spawn(Arc::clone(&svc), ReactorConfig::default());
+    let addr = server.addr;
 
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());

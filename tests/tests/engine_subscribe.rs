@@ -17,12 +17,13 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pm_engine::reactor::{serve_with, ReactorConfig};
+use pm_engine::reactor::ReactorConfig;
 use pm_engine::{BackendSpec, EngineConfig, EngineService, ShardedEngine};
+use pm_integration_tests::TestServer;
 use pm_model::{AttrId, ValueId};
 use pm_porder::Preference;
 
@@ -40,16 +41,14 @@ fn chain_pref(u: usize) -> Preference {
     p
 }
 
-/// Spawns a reactor-served engine on an ephemeral port.
-fn spawn(backend: &str, shards: usize, users: usize, config: ReactorConfig) -> SocketAddr {
+/// Spawns a reactor-served engine on an ephemeral port; it shuts down when
+/// the returned server is dropped.
+fn spawn(backend: &str, shards: usize, users: usize, config: ReactorConfig) -> TestServer {
     let prefs: Vec<Preference> = (0..users).map(chain_pref).collect();
     let spec = BackendSpec::parse(backend).expect("valid backend");
     let engine = ShardedEngine::new(prefs, &EngineConfig::new(shards), &spec);
     let service = Arc::new(EngineService::new(engine, spec, 2, 4096));
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || serve_with(listener, service, config));
-    addr
+    TestServer::spawn(service, config)
 }
 
 struct Client {
@@ -159,7 +158,8 @@ fn next(rng: &mut u64) -> u64 {
 
 fn run_oracle(backend: &str, shards: usize) {
     let ctx = format!("backend={backend} shards={shards}");
-    let addr = spawn(backend, shards, 6, ReactorConfig::default());
+    let server = spawn(backend, shards, 6, ReactorConfig::default());
+    let addr = server.addr;
     let mut ctl = Client::connect(addr);
     let mut sub = Client::connect(addr);
     let mut state: Frontiers = HashMap::new();
@@ -254,7 +254,8 @@ fn subscription_deltas_track_fresh_frontier_queries() {
 
 #[test]
 fn hello_and_subscription_prechecks_pin_their_wire_lines() {
-    let addr = spawn("baseline", 2, 4, ReactorConfig::default());
+    let server = spawn("baseline", 2, 4, ReactorConfig::default());
+    let addr = server.addr;
     let mut c = Client::connect(addr);
     let hello = c.ask("HELLO");
     assert!(
@@ -305,7 +306,8 @@ fn read_frame(reader: &mut impl Read) -> (u8, Vec<u8>) {
 
 #[test]
 fn frame_mode_carries_subscriptions_and_events() {
-    let addr = spawn("baseline", 2, 4, ReactorConfig::default());
+    let server = spawn("baseline", 2, 4, ReactorConfig::default());
+    let addr = server.addr;
     let mut sub = Client::connect(addr);
     // The HELLO answer itself still arrives in the old (text) mode.
     let hello = sub.ask("HELLO frame");
@@ -345,7 +347,7 @@ fn frame_mode_carries_subscriptions_and_events() {
 
 #[test]
 fn malformed_frames_answer_err_and_unframeable_input_closes() {
-    let addr = spawn(
+    let server = spawn(
         "baseline",
         1,
         2,
@@ -354,6 +356,7 @@ fn malformed_frames_answer_err_and_unframeable_input_closes() {
             max_line: 1024,
         },
     );
+    let addr = server.addr;
     let mut c = Client::connect(addr);
     assert!(c.ask("HELLO frame").starts_with("OK HELLO"));
 
@@ -381,7 +384,8 @@ fn malformed_frames_answer_err_and_unframeable_input_closes() {
 
 #[test]
 fn half_closed_subscriber_keeps_receiving_events() {
-    let addr = spawn("baseline", 1, 2, ReactorConfig::default());
+    let server = spawn("baseline", 1, 2, ReactorConfig::default());
+    let addr = server.addr;
     let mut sub = Client::connect(addr);
     assert_eq!(sub.ask("SUBSCRIBE 0"), "OK SUBSCRIBED 0 ");
     // The subscriber is done talking; its event stream must survive.
@@ -405,7 +409,7 @@ fn lagged_subscribers_are_evicted_with_terminal_err() {
     // events; a tiny outbox bound plus an unread socket must trip the
     // eviction rather than buffer without limit.
     let users = 64;
-    let addr = spawn(
+    let server = spawn(
         "baseline-sw:4",
         1,
         users,
@@ -414,6 +418,7 @@ fn lagged_subscribers_are_evicted_with_terminal_err() {
             max_line: 16 << 20,
         },
     );
+    let addr = server.addr;
     let mut sub = Client::connect(addr);
     for user in 0..users as u32 {
         assert!(sub
@@ -459,10 +464,11 @@ fn lagged_subscribers_are_evicted_with_terminal_err() {
 }
 
 /// One reactor thread, not one thread per connection: thousands of idle
-/// subscribers must not grow the process' thread count.
+/// subscribers must not grow the server's thread count.
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_subscriber_army_needs_no_extra_threads() {
+    const SHARDS: usize = 2;
     // Two fds per subscriber (client + server end); scale to the limit the
     // environment actually grants.
     let limit = pm_reactor::raise_nofile_limit(25_000).unwrap_or(1024);
@@ -472,7 +478,8 @@ fn idle_subscriber_army_needs_no_extra_threads() {
         "fd limit too low to say anything: {limit}"
     );
 
-    let addr = spawn("baseline", 2, 4, ReactorConfig::default());
+    let server = spawn("baseline", SHARDS, 4, ReactorConfig::default());
+    let addr = server.addr;
     let mut army: Vec<TcpStream> = Vec::with_capacity(subscribers);
     for _ in 0..subscribers {
         let mut stream = TcpStream::connect(addr).expect("connect subscriber");
@@ -490,14 +497,11 @@ fn idle_subscriber_army_needs_no_extra_threads() {
         army.push(stream);
     }
 
-    let threads: usize = std::fs::read_to_string("/proc/self/status")
-        .unwrap()
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .expect("Threads: line")
-        .trim()
-        .parse()
-        .unwrap();
+    // Count this server's threads only: its reactor (and anything the
+    // reactor spawned, which would carry the reactor's name) plus the
+    // engine's shard workers. The process-wide count also holds the
+    // servers and shards of tests running in parallel.
+    let threads = server.reactor_threads() + SHARDS;
     assert!(
         threads < 64,
         "{subscribers} subscribers should not need {threads} threads"

@@ -6,12 +6,12 @@
 //! the connection).
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
 
-use pm_engine::server::serve;
+use pm_engine::reactor::ReactorConfig;
 use pm_engine::{BackendSpec, EngineConfig, EngineService, ShardedEngine};
-use pm_integration_tests::small_movie_dataset;
+use pm_integration_tests::{small_movie_dataset, TestServer};
 
 /// Arity of the movie schema used by all tests here.
 const ARITY: usize = 4;
@@ -233,12 +233,10 @@ fn metrics_with_trailing_args_is_err_and_metrics_off_is_err() {
 
 #[test]
 fn metrics_over_tcp_survives_bad_args_and_streams_the_exposition() {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
     let svc = Arc::new(movie_service("baseline", 2));
     exercise(&svc);
-    let server_svc = Arc::clone(&svc);
-    std::thread::spawn(move || serve(listener, server_svc));
+    let server = TestServer::spawn(Arc::clone(&svc), ReactorConfig::default());
+    let addr = server.addr;
 
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
