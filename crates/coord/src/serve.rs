@@ -53,6 +53,21 @@ const LISTENER: u64 = 0;
 const SHUTDOWN: u64 = u64::MAX;
 /// Node `i`'s event connection is registered under `EVENT_BASE + i`.
 const EVENT_BASE: u64 = 1;
+/// Longest line a peer may send, in bytes: `pm-server`'s default
+/// `max_line`. A longer line ends the connection with a terminal `ERR`
+/// instead of growing the input buffer without bound.
+const MAX_LINE: usize = 16 << 20;
+
+/// Why [`Buffered::read_lines`] stopped reading.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReadEnd {
+    /// The socket has nothing more to read for now.
+    Drained,
+    /// The peer closed its write half.
+    Eof,
+    /// The unterminated last line outgrew [`MAX_LINE`] and was discarded.
+    Overlong,
+}
 
 /// A nonblocking buffered connection: line-split input, bounded output.
 #[derive(Debug)]
@@ -76,32 +91,53 @@ impl Buffered {
     }
 
     /// Reads whatever is available and returns the complete lines plus
-    /// whether the peer reached EOF.
-    fn read_lines(&mut self) -> std::io::Result<(Vec<String>, bool)> {
-        let mut eof = false;
+    /// why reading stopped. Reading stops early once the unterminated last
+    /// line exceeds [`MAX_LINE`]; the lines before it are still returned.
+    fn read_lines(&mut self) -> std::io::Result<(Vec<String>, ReadEnd)> {
+        let mut end = ReadEnd::Drained;
         let mut chunk = [0u8; 4096];
+        // Bytes after the last newline: every earlier call drained its
+        // complete lines, so the buffer holds one unterminated line.
+        let mut tail = self.inbuf.len();
         loop {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
-                    eof = true;
+                    end = ReadEnd::Eof;
                     break;
                 }
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => {
+                    let read = &chunk[..n];
+                    tail = match read.iter().rposition(|&b| b == b'\n') {
+                        Some(at) => n - at - 1,
+                        None => tail + n,
+                    };
+                    self.inbuf.extend_from_slice(read);
+                    if tail > MAX_LINE {
+                        end = ReadEnd::Overlong;
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        let complete = self.inbuf.len() - tail;
         let mut lines = Vec::new();
-        while let Some(at) = self.inbuf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = self.inbuf.drain(..=at).collect();
-            let mut line = String::from_utf8_lossy(&raw[..at]).into_owned();
-            while line.ends_with('\r') {
-                line.pop();
+        if complete > 0 {
+            for raw in self.inbuf[..complete - 1].split(|&b| b == b'\n') {
+                let mut line = String::from_utf8_lossy(raw).into_owned();
+                while line.ends_with('\r') {
+                    line.pop();
+                }
+                lines.push(line);
             }
-            lines.push(line);
         }
-        Ok((lines, eof))
+        self.inbuf.drain(..complete);
+        if end == ReadEnd::Overlong {
+            self.inbuf.clear();
+        }
+        Ok((lines, end))
     }
 
     fn enqueue(&mut self, line: &str) {
@@ -452,14 +488,18 @@ impl CoordServer {
                 .get_mut(&token)
                 .map(|client| client.buf.read_lines());
             match result {
-                Some(Ok((lines, eof))) => {
+                Some(Ok((lines, end))) => {
                     for line in lines {
                         if self.clients.get(&token).map_or(true, |c| c.closing) {
                             break;
                         }
                         self.handle_client_line(token, &line, poller);
                     }
-                    if eof {
+                    if end == ReadEnd::Overlong {
+                        let error = format!("ERR request line exceeds {MAX_LINE} bytes");
+                        self.push_line(token, &error, poller);
+                    }
+                    if end != ReadEnd::Drained {
                         if let Some(client) = self.clients.get_mut(&token) {
                             client.closing = true;
                         }
@@ -583,7 +623,7 @@ impl CoordServer {
             return;
         }
         let (lines, eof) = match conn.buf.read_lines() {
-            Ok(result) => result,
+            Ok((lines, end)) => (lines, end != ReadEnd::Drained),
             Err(_) => (Vec::new(), true),
         };
         for line in lines {

@@ -23,8 +23,11 @@
 //! the new owner's backfilled frontier matches the oracle.
 
 use std::fs;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::Duration;
 
 use pm_coord::{
     spawn_coordinator, spawn_node, spawn_node_at, Cluster, ClusterConfig, NodeHandle, NodeSpec,
@@ -446,6 +449,32 @@ fn subscriptions_fan_events_and_degrade_when_the_owner_dies() {
         sub_c.ask(&format!("SUBSCRIBE {user}")).unwrap(),
         format!("ERR degraded node={owner}")
     );
+
+    coord.kill();
+    for node in nodes {
+        node.kill();
+    }
+}
+
+#[test]
+fn overlong_client_line_gets_a_terminal_err_and_others_are_still_served() {
+    let (nodes, coord, mut control) = spawn_cluster("baseline", 1, 1);
+    // One byte past `pm-server`'s 16 MiB line limit, and no newline: the
+    // coordinator must refuse the line loudly instead of buffering it.
+    let limit = 16 << 20;
+    let mut hostile = TcpStream::connect(coord.addr()).unwrap();
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    hostile.write_all(&vec![b'x'; limit + 1]).unwrap();
+    let mut reply = String::new();
+    hostile.read_to_string(&mut reply).unwrap();
+    assert_eq!(reply, format!("ERR request line exceeds {limit} bytes\n"));
+
+    // Connections old and new keep being served.
+    assert!(control.ask("HEALTH").unwrap().starts_with("OK HEALTH"));
+    let mut fresh = TextClient::connect(coord.addr()).unwrap();
+    assert!(fresh.ask("HEALTH").unwrap().starts_with("OK HEALTH"));
 
     coord.kill();
     for node in nodes {
