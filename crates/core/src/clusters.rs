@@ -94,12 +94,12 @@ impl<B> ClusterState<B> {
 pub(crate) struct ClusterCore<B> {
     /// Per-user interned preference handles: build-time and bitset forms
     /// are shared `Arc`s, one per *distinct* preference.
-    pub(crate) users: Vec<Interned>,
+    users: Vec<Interned>,
     /// Deduplicates the users' preferences so memory and compilation scale
     /// with the number of distinct preferences, not the population size.
     interner: PreferenceInterner,
-    pub(crate) user_frontiers: Vec<Frontier>,
-    pub(crate) clusters: Vec<ClusterState<B>>,
+    user_frontiers: Vec<Frontier>,
+    clusters: Vec<ClusterState<B>>,
     /// Incrementally maintained clustering driving dynamic membership.
     /// `None` for cores built from fixed cluster lists, which fall back to
     /// singleton insertion and `common_of` repair.
@@ -376,6 +376,23 @@ impl<B> ClusterCore<B> {
         }
         targets.sort_unstable();
         targets
+    }
+
+    /// The users' interned preferences, in user-id order.
+    pub(crate) fn users(&self) -> &[Interned] {
+        &self.users
+    }
+
+    /// The clusters.
+    pub(crate) fn clusters(&self) -> &[ClusterState<B>] {
+        &self.clusters
+    }
+
+    /// The users, their frontiers and the clusters, for the monitor's own
+    /// frontier and buffer maintenance. Slices, so that membership changes
+    /// only through the core.
+    pub(crate) fn split_mut(&mut self) -> (&[Interned], &mut [Frontier], &mut [ClusterState<B>]) {
+        (&self.users, &mut self.user_frontiers, &mut self.clusters)
     }
 
     /// The preference of `user`.

@@ -114,7 +114,7 @@ impl FilterThenVerifyMonitor {
     /// preferences seed the compaction universe.
     pub fn with_history(mut self, mode: HistoryMode) -> Self {
         self.history = History::new(mode);
-        for user in &self.core.users {
+        for user in self.core.users() {
             self.history.observe(user.preference.as_ref());
         }
         self
@@ -143,7 +143,7 @@ impl FilterThenVerifyMonitor {
 
     /// Number of clusters (`k` in the paper's cost model).
     pub fn num_clusters(&self) -> usize {
-        self.core.clusters.len()
+        self.core.clusters().len()
     }
 
     /// The preference of `user`.
@@ -164,12 +164,12 @@ impl FilterThenVerifyMonitor {
 
     /// The virtual preference used by a cluster (common or approximate).
     pub fn virtual_preference(&self, cluster: usize) -> &Preference {
-        &self.core.clusters[cluster].virtual_preference
+        &self.core.clusters()[cluster].virtual_preference
     }
 
     /// The member users of a cluster.
     pub fn cluster_members(&self, cluster: usize) -> &[UserId] {
-        &self.core.clusters[cluster].members
+        &self.core.clusters()[cluster].members
     }
 }
 
@@ -200,7 +200,7 @@ impl ContinuousMonitor for FilterThenVerifyMonitor {
     }
 
     fn num_users(&self) -> usize {
-        self.core.users.len()
+        self.core.users().len()
     }
 
     fn add_user(&mut self, preference: Preference) -> UserId {

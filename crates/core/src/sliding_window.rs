@@ -84,50 +84,30 @@ fn window_frontier(
     frontier
 }
 
-/// Rebuilds `frontier` and `buffer` by replaying the alive objects
-/// oldest-first under `preference`: exactly the frontier and Pareto
-/// frontier buffer (Def. 7.4) a from-start user would hold over the current
-/// window.
-fn replay_window(
-    window: &SlidingWindow,
-    preference: &CompiledPreference,
-    frontier: &mut Frontier,
-    buffer: &mut Frontier,
-    stats: &mut MonitorStats,
-) {
-    frontier.clear();
-    buffer.clear();
-    for object in window.iter() {
-        update_pareto_frontier(preference, frontier, object, stats);
-        refresh_buffer(preference, buffer, object, stats);
-    }
-}
-
 /// The state of one distinct preference of the sliding-window baseline:
 /// identical preferences induce identical frontiers *and* identical
 /// Def. 7.4 buffers (both depend only on the preference relations and the
 /// alive objects), so all users holding it share one of each.
 #[derive(Debug, Clone, Default)]
-struct Buffered {
+struct WindowState {
     frontier: Frontier,
     buffer: Frontier,
 }
 
-impl Buffered {
-    /// The state replayed from the current window (see [`replay_window`]).
-    fn replayed(
+impl WindowState {
+    /// Replays the alive objects oldest-first under `preference`: exactly
+    /// the frontier and Pareto frontier buffer (Def. 7.4) a from-start user
+    /// would hold over the current window.
+    fn replay(
         window: &SlidingWindow,
         preference: &CompiledPreference,
         stats: &mut MonitorStats,
     ) -> Self {
         let mut state = Self::default();
-        replay_window(
-            window,
-            preference,
-            &mut state.frontier,
-            &mut state.buffer,
-            stats,
-        );
+        for object in window.iter() {
+            update_pareto_frontier(preference, &mut state.frontier, object, stats);
+            refresh_buffer(preference, &mut state.buffer, object, stats);
+        }
         state
     }
 }
@@ -142,7 +122,7 @@ impl Buffered {
 /// state and twins share unconditionally.
 #[derive(Debug, Clone)]
 pub struct BaselineSwMonitor {
-    table: BucketTable<Buffered>,
+    table: BucketTable<WindowState>,
     window: SlidingWindow,
     stats: MonitorStats,
     /// Optional latency histograms (see [`MonitorTimers`]); disabled slots
@@ -156,7 +136,7 @@ impl BaselineSwMonitor {
     pub fn new(preferences: Vec<Preference>, window_size: usize) -> Self {
         let mut table = BucketTable::new();
         for preference in &preferences {
-            table.add(preference, true, |_| Buffered::default());
+            table.add(preference, true, |_| WindowState::default());
         }
         Self {
             table,
@@ -283,7 +263,7 @@ impl ContinuousMonitor for BaselineSwMonitor {
         let (window, stats) = (&self.window, &mut self.stats);
         self.table.add(&preference, true, |compiled| {
             timed(timer.as_ref(), || {
-                Buffered::replayed(window, compiled, stats)
+                WindowState::replay(window, compiled, stats)
             })
         })
     }
@@ -302,7 +282,7 @@ impl ContinuousMonitor for BaselineSwMonitor {
         let (window, stats) = (&self.window, &mut self.stats);
         self.table.update(user, &preference, true, |compiled| {
             timed(timer.as_ref(), || {
-                Buffered::replayed(window, compiled, stats)
+                WindowState::replay(window, compiled, stats)
             })
         });
     }
@@ -422,7 +402,7 @@ impl FilterThenVerifySwMonitor {
 
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
-        self.core.clusters.len()
+        self.core.clusters().len()
     }
 
     /// The preference of `user`.
@@ -448,12 +428,16 @@ impl FilterThenVerifySwMonitor {
 
     /// The virtual preference used by a cluster (common or approximate).
     pub fn virtual_preference(&self, cluster: usize) -> &Preference {
-        &self.core.clusters[cluster].virtual_preference
+        &self.core.clusters()[cluster].virtual_preference
     }
 
     /// The cluster-level buffer `PB_U`, sorted by id.
     pub fn cluster_buffer(&self, cluster: usize) -> Vec<ObjectId> {
-        self.core.clusters[cluster].buffer.keys().copied().collect()
+        self.core.clusters()[cluster]
+            .buffer
+            .keys()
+            .copied()
+            .collect()
     }
 
     /// Rebuilds one cluster's frontier `P_U` and buffer `PB_U` by replaying
@@ -463,23 +447,19 @@ impl FilterThenVerifySwMonitor {
     /// miss promotions on future expiries — the replay restores exactly the
     /// state a from-start cluster would hold over the current window.
     fn rebuild_cluster_state(&mut self, cluster: usize) {
-        let state = &mut self.core.clusters[cluster];
-        replay_window(
-            &self.window,
-            &state.compiled,
-            &mut state.frontier,
-            &mut state.buffer,
-            &mut self.stats,
-        );
+        let state = &mut self.core.split_mut().2[cluster];
+        let replayed = WindowState::replay(&self.window, &state.compiled, &mut self.stats);
+        state.frontier = replayed.frontier;
+        state.buffer = replayed.buffer;
     }
 
     fn expire(&mut self, expired: &Object, deltas: &mut DeltaLog) {
         self.stats.record_expiration();
-        let core = &mut self.core;
-        for cluster in &mut core.clusters {
+        let (users, user_frontiers, clusters) = self.core.split_mut();
+        for cluster in clusters {
             let was_cluster_pareto = cluster.frontier.remove(&expired.id()).is_some();
             for member in &cluster.members {
-                if core.user_frontiers[member.index()]
+                if user_frontiers[member.index()]
                     .remove(&expired.id())
                     .is_some()
                 {
@@ -507,10 +487,10 @@ impl FilterThenVerifySwMonitor {
                     );
                     if promoted {
                         for member in &cluster.members {
-                            let frontier = &mut core.user_frontiers[member.index()];
+                            let frontier = &mut user_frontiers[member.index()];
                             let present = frontier.contains_key(&candidate.id());
                             if mend_frontier(
-                                &core.users[member.index()].compiled,
+                                &users[member.index()].compiled,
                                 frontier,
                                 candidate,
                                 &mut self.stats,
@@ -541,7 +521,7 @@ impl ContinuousMonitor for FilterThenVerifySwMonitor {
             let targets = self.core.arrive(&object, &mut self.stats, &mut deltas);
             // ... and line 15: every cluster buffer is refreshed regardless
             // of whether the object is currently Pareto-optimal.
-            for cluster in &mut self.core.clusters {
+            for cluster in self.core.split_mut().2 {
                 refresh_buffer(
                     &cluster.compiled,
                     &mut cluster.buffer,
@@ -563,7 +543,7 @@ impl ContinuousMonitor for FilterThenVerifySwMonitor {
     }
 
     fn num_users(&self) -> usize {
-        self.core.users.len()
+        self.core.users().len()
     }
 
     fn add_user(&mut self, preference: Preference) -> UserId {
