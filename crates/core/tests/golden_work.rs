@@ -96,18 +96,13 @@ impl Fnv {
     }
 }
 
-/// The pinned outcome of one run.
-#[derive(Debug, PartialEq, Eq)]
-struct Work {
-    comparisons: u64,
-    notifications: u64,
-    expirations: u64,
-    arrivals_hash: u64,
-}
+/// The pinned outcome of one run: comparisons, notifications, expirations
+/// and a hash of every arrival plus the final frontiers.
+type Work = (u64, u64, u64, u64);
 
 /// Runs 400 arrivals with a membership change every 10th one, cycling
 /// through add, update and remove.
-fn run<M: ContinuousMonitor>(monitor: &mut M, seed: u64, pool: &[Preference]) -> Work {
+fn run(monitor: &mut dyn ContinuousMonitor, seed: u64, pool: &[Preference]) -> Work {
     let mut rng = Rng(seed);
     let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
     for t in 0..400u64 {
@@ -145,19 +140,12 @@ fn run<M: ContinuousMonitor>(monitor: &mut M, seed: u64, pool: &[Preference]) ->
         }
     }
     let stats = monitor.stats();
-    Work {
-        comparisons: stats.comparisons,
-        notifications: stats.notifications,
-        expirations: stats.expirations,
-        arrivals_hash: hash.0,
-    }
-}
-
-fn population(seed: u64) -> (Vec<Preference>, Vec<Preference>) {
-    let mut rng = Rng(seed);
-    let pool = pool(&mut rng);
-    let users = (0..12).map(|_| pick(&mut rng, &pool)).collect();
-    (pool, users)
+    (
+        stats.comparisons,
+        stats.notifications,
+        stats.expirations,
+        hash.0,
+    )
 }
 
 fn clustering(users: &[Preference]) -> Clustering {
@@ -168,111 +156,71 @@ fn approx() -> ApproxConfig {
     ApproxConfig::new(8, 0.5)
 }
 
-fn expect(name: &str, got: Work, want: Work) {
-    assert_eq!(got, want, "{name}: per-monitor work changed");
-}
+type Build = fn(Vec<Preference>) -> Box<dyn ContinuousMonitor>;
 
 #[test]
-fn baseline_work_is_pinned() {
-    let (pool, users) = population(11);
-    let got = run(&mut BaselineMonitor::new(users), 101, &pool);
-    expect(
-        "baseline",
-        got,
-        Work {
-            comparisons: 66676,
-            notifications: 1315,
-            expirations: 0,
-            arrivals_hash: 788792127772104594,
-        },
-    );
-}
-
-#[test]
-fn baseline_sw_work_is_pinned() {
-    let (pool, users) = population(12);
-    let got = run(&mut BaselineSwMonitor::new(users, WINDOW), 102, &pool);
-    expect(
-        "baseline-sw",
-        got,
-        Work {
-            comparisons: 113154,
-            notifications: 3091,
-            expirations: 376,
-            arrivals_hash: 6491461675973969601,
-        },
-    );
-}
-
-#[test]
-fn ftv_with_clustering_work_is_pinned() {
-    let (pool, users) = population(13);
-    let clustering = clustering(&users);
-    let mut monitor = FilterThenVerifyMonitor::with_clustering(users, clustering);
-    let got = run(&mut monitor, 103, &pool);
-    expect(
-        "ftv",
-        got,
-        Work {
-            comparisons: 145482,
-            notifications: 1155,
-            expirations: 0,
-            arrivals_hash: 10170747341534532592,
-        },
-    );
-}
-
-#[test]
-fn ftv_approx_work_is_pinned() {
-    let (pool, users) = population(14);
-    let clustering = clustering(&users);
-    let mut monitor = FilterThenVerifyMonitor::with_approx_clustering(users, clustering, approx());
-    let got = run(&mut monitor, 104, &pool);
-    expect(
-        "ftv-approx",
-        got,
-        Work {
-            comparisons: 174782,
-            notifications: 1471,
-            expirations: 0,
-            arrivals_hash: 149399414716426903,
-        },
-    );
-}
-
-#[test]
-fn ftv_sw_work_is_pinned() {
-    let (pool, users) = population(15);
-    let clustering = clustering(&users);
-    let mut monitor = FilterThenVerifySwMonitor::with_clustering(users, clustering, WINDOW);
-    let got = run(&mut monitor, 105, &pool);
-    expect(
-        "ftv-sw",
-        got,
-        Work {
-            comparisons: 148151,
-            notifications: 2760,
-            expirations: 376,
-            arrivals_hash: 2522083619792524034,
-        },
-    );
-}
-
-#[test]
-fn ftv_approx_sw_work_is_pinned() {
-    let (pool, users) = population(16);
-    let clustering = clustering(&users);
-    let mut monitor =
-        FilterThenVerifySwMonitor::with_approx_clustering(users, clustering, approx(), WINDOW);
-    let got = run(&mut monitor, 106, &pool);
-    expect(
-        "ftv-approx-sw",
-        got,
-        Work {
-            comparisons: 179726,
-            notifications: 3483,
-            expirations: 376,
-            arrivals_hash: 10591290293500190717,
-        },
-    );
+fn per_monitor_work_is_pinned() {
+    let monitors: [(&str, Build, Work); 6] = [
+        (
+            "baseline",
+            |users| Box::new(BaselineMonitor::new(users)),
+            (66676, 1315, 0, 788792127772104594),
+        ),
+        (
+            "baseline-sw",
+            |users| Box::new(BaselineSwMonitor::new(users, WINDOW)),
+            (113154, 3091, 376, 6491461675973969601),
+        ),
+        (
+            "ftv",
+            |users| {
+                let clustering = clustering(&users);
+                Box::new(FilterThenVerifyMonitor::with_clustering(users, clustering))
+            },
+            (145482, 1155, 0, 10170747341534532592),
+        ),
+        (
+            "ftv-approx",
+            |users| {
+                let clustering = clustering(&users);
+                Box::new(FilterThenVerifyMonitor::with_approx_clustering(
+                    users,
+                    clustering,
+                    approx(),
+                ))
+            },
+            (174782, 1471, 0, 149399414716426903),
+        ),
+        (
+            "ftv-sw",
+            |users| {
+                let clustering = clustering(&users);
+                Box::new(FilterThenVerifySwMonitor::with_clustering(
+                    users, clustering, WINDOW,
+                ))
+            },
+            (148151, 2760, 376, 2522083619792524034),
+        ),
+        (
+            "ftv-approx-sw",
+            |users| {
+                let clustering = clustering(&users);
+                Box::new(FilterThenVerifySwMonitor::with_approx_clustering(
+                    users,
+                    clustering,
+                    approx(),
+                    WINDOW,
+                ))
+            },
+            (179726, 3483, 376, 10591290293500190717),
+        ),
+    ];
+    for (i, (name, build, want)) in monitors.into_iter().enumerate() {
+        // Each monitor draws its own population and stream.
+        let mut rng = Rng(11 + i as u64);
+        let pool = pool(&mut rng);
+        let users = (0..12).map(|_| pick(&mut rng, &pool)).collect();
+        let got = run(build(users).as_mut(), 101 + i as u64, &pool);
+        assert_eq!(got, want, "{name}: per-monitor work changed");
+    }
 }
